@@ -34,8 +34,10 @@ CacheConfig::numSets() const
 void
 CacheConfig::validate() const
 {
-    if (line_bytes == 0 || (line_bytes & (line_bytes - 1)) != 0) {
-        vs_fatal("cache line size must be a power of two");
+    // At least 2 bytes: SetAssocCache reserves the all-ones line
+    // number, which only a 1-byte line at the top of memory reaches.
+    if (line_bytes < 2 || (line_bytes & (line_bytes - 1)) != 0) {
+        vs_fatal("cache line size must be a power of two >= 2");
     }
     if (size_bytes == 0 || size_bytes % line_bytes != 0) {
         vs_fatal("cache size must be a multiple of the line size");

@@ -15,29 +15,6 @@ ReplacementState::ReplacementState(ReplPolicy policy, std::uint32_t sets,
     vs_assert(sets > 0 && ways > 0, "empty replacement state");
 }
 
-std::uint64_t &
-ReplacementState::stamp(std::uint32_t set, std::uint32_t way)
-{
-    return stamps_[static_cast<std::size_t>(set) * ways_ + way];
-}
-
-void
-ReplacementState::touch(std::uint32_t set, std::uint32_t way)
-{
-    if (policy_ == ReplPolicy::kLru) {
-        stamp(set, way) = ++clock_;
-    }
-    // FIFO and Random ignore hits.
-}
-
-void
-ReplacementState::fill(std::uint32_t set, std::uint32_t way)
-{
-    if (policy_ != ReplPolicy::kRandom) {
-        stamp(set, way) = ++clock_;
-    }
-}
-
 void
 ReplacementState::reset(std::uint64_t seed)
 {
@@ -53,11 +30,10 @@ ReplacementState::victim(std::uint32_t set)
         return static_cast<std::uint32_t>(rng_.uniformInt(0, ways_ - 1));
     }
 
+    const std::uint64_t *stamps = &stamps_[index(set, 0)];
     std::uint32_t best = 0;
-    std::uint64_t best_stamp = stamp(set, 0);
     for (std::uint32_t w = 1; w < ways_; ++w) {
-        if (stamp(set, w) < best_stamp) {
-            best_stamp = stamp(set, w);
+        if (stamps[w] < stamps[best]) {
             best = w;
         }
     }

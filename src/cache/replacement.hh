@@ -27,11 +27,23 @@ class ReplacementState
     ReplacementState(ReplPolicy policy, std::uint32_t sets,
                      std::uint32_t ways, std::uint64_t seed = 0x5eedULL);
 
-    /** Note a hit on (set, way). */
-    void touch(std::uint32_t set, std::uint32_t way);
+    /** Note a hit on (set, way).  FIFO and Random ignore hits. */
+    void
+    touch(std::uint32_t set, std::uint32_t way)
+    {
+        if (policy_ == ReplPolicy::kLru) {
+            stamps_[index(set, way)] = ++clock_;
+        }
+    }
 
     /** Note a fill into (set, way). */
-    void fill(std::uint32_t set, std::uint32_t way);
+    void
+    fill(std::uint32_t set, std::uint32_t way)
+    {
+        if (policy_ != ReplPolicy::kRandom) {
+            stamps_[index(set, way)] = ++clock_;
+        }
+    }
 
     /** Choose the victim way in @p set (all ways assumed valid). */
     std::uint32_t victim(std::uint32_t set);
@@ -46,7 +58,11 @@ class ReplacementState
     ReplPolicy policy() const { return policy_; }
 
   private:
-    std::uint64_t &stamp(std::uint32_t set, std::uint32_t way);
+    std::size_t
+    index(std::uint32_t set, std::uint32_t way) const
+    {
+        return static_cast<std::size_t>(set) * ways_ + way;
+    }
 
     ReplPolicy policy_;
     std::uint32_t ways_;

@@ -1,5 +1,6 @@
 #include "cache/set_assoc_cache.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -27,103 +28,65 @@ log2u(std::uint64_t v)
 SetAssocCache::SetAssocCache(std::string name, const CacheConfig &cfg)
     : name_(std::move(name)), cfg_(cfg), sets_(cfg.numSets()),
       ways_(cfg.assoc), line_shift_(log2u(cfg.line_bytes)),
-      lines_(static_cast<std::size_t>(cfg.numLines())),
+      tags_(cfg.numLines(), kInvalidTag), dirty_(cfg.numLines(), 0),
       repl_(cfg.policy, sets_, ways_)
 {
     cfg_.validate();
 }
 
 std::uint32_t
-SetAssocCache::setIndex(Addr line_addr) const
+SetAssocCache::findWay(std::uint32_t set, Addr line) const
 {
-    return static_cast<std::uint32_t>((line_addr >> line_shift_) &
-                                      (sets_ - 1));
+    // Branchless match over the set's tags: no way-dependent branch
+    // to mispredict, and a line sits in at most one way.
+    const std::uint64_t *tags =
+        &tags_[static_cast<std::size_t>(set) * ways_];
+    std::uint32_t way = ways_;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        way = tags[w] == line ? w : way;
+    }
+    return way;
 }
 
-std::uint64_t
-SetAssocCache::tagOf(Addr line_addr) const
+void
+SetAssocCache::invalidateWay(std::size_t i)
 {
-    return (line_addr >> line_shift_) / sets_;
-}
-
-Addr
-SetAssocCache::lineAddr(std::uint32_t set, std::uint64_t tag) const
-{
-    return ((tag * sets_) + set) << line_shift_;
-}
-
-SetAssocCache::Line &
-SetAssocCache::line(std::uint32_t set, std::uint32_t way)
-{
-    return lines_[static_cast<std::size_t>(set) * ways_ + way];
-}
-
-const SetAssocCache::Line &
-SetAssocCache::line(std::uint32_t set, std::uint32_t way) const
-{
-    return lines_[static_cast<std::size_t>(set) * ways_ + way];
+    tags_[i] = kInvalidTag;
+    dirty_[i] = 0;
 }
 
 // vstream:allow(no-hotpath-alloc) appends into the caller's reused
 // summary scratch; its vectors keep their capacity across accesses
-bool
-SetAssocCache::accessLine(Addr line_addr, MemOp op,
-                          CacheAccessSummary &summary)
+[[gnu::noinline]] void
+SetAssocCache::missFill(std::uint32_t set, Addr line, MemOp op,
+                        CacheAccessSummary &summary)
 {
-    const std::uint32_t set = setIndex(line_addr);
-    const std::uint64_t tag = tagOf(line_addr);
-
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        Line &l = line(set, w);
-        if (l.valid && l.tag == tag) {
-            ++hits_;
-            repl_.touch(set, w);
-            if (op == MemOp::kWrite) {
-                l.dirty = cfg_.write_back;
-            }
-            return true;
-        }
-    }
-
-    ++misses_;
-
     if (op == MemOp::kWrite && !cfg_.write_allocate) {
         // Streaming store: bypass, no state change.
-        return false;
+        return;
     }
 
-    // Find an invalid way; otherwise evict the policy's victim.
-    std::uint32_t victim_way = ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!line(set, w).valid) {
-            victim_way = w;
-            break;
-        }
+    // Take the first invalid way; otherwise evict the policy's victim.
+    const std::size_t base = static_cast<std::size_t>(set) * ways_;
+    std::uint32_t way = 0;
+    while (way < ways_ && tags_[base + way] != kInvalidTag) {
+        ++way;
     }
-    if (victim_way == ways_) {
-        victim_way = repl_.victim(set);
-        Line &v = line(set, victim_way);
+    if (way == ways_) {
+        way = repl_.victim(set);
         ++evictions_;
-        if (v.dirty) {
+        if (dirty_[base + way] != 0) {
             ++writebacks_;
-            summary.writebacks.push_back(lineAddr(set, v.tag));
+            summary.writebacks.push_back(tags_[base + way] << line_shift_);
         }
     }
 
-    Line &l = line(set, victim_way);
-    l.valid = true;
-    l.tag = tag;
-    l.dirty = (op == MemOp::kWrite) && cfg_.write_back;
-    repl_.fill(set, victim_way);
-
-    if (op == MemOp::kRead || !cfg_.write_back) {
-        // A read miss (or write-through write) fetches the line.
-        summary.fills.push_back(line_addr);
-    } else if (op == MemOp::kWrite) {
-        // Write-allocate: fetch-on-write (whole line brought in).
-        summary.fills.push_back(line_addr);
-    }
-    return false;
+    tags_[base + way] = line;
+    dirty_[base + way] = op == MemOp::kWrite && cfg_.write_back;
+    repl_.fill(set, way);
+    // A read miss fetches the line; so does an allocating write
+    // (fetch-on-write brings the whole line in).
+    summary.fills.push_back(line << line_shift_);
 }
 
 CacheAccessSummary
@@ -141,45 +104,48 @@ SetAssocCache::accessInto(Addr addr, std::uint32_t size, MemOp op,
 {
     vs_assert(size > 0, "zero-size cache access");
 
-    summary.lines = 0;
-    summary.hits = 0;
-    summary.misses = 0;
     summary.writebacks.clear();
     summary.fills.clear();
     const Addr first = addr >> line_shift_;
     const Addr last = (addr + size - 1) >> line_shift_;
-    for (Addr l = first; l <= last; ++l) {
-        ++summary.lines;
-        if (accessLine(l << line_shift_, op, summary)) {
-            ++summary.hits;
-        } else {
-            ++summary.misses;
+    const std::uint32_t set_mask = sets_ - 1;
+    const std::uint8_t hit_dirty = cfg_.write_back ? 1 : 0;
+    std::uint32_t hits = 0;
+    for (Addr line = first; line <= last; ++line) {
+        const auto set = static_cast<std::uint32_t>(line & set_mask);
+        const std::uint32_t way = findWay(set, line);
+        if (way == ways_) {
+            missFill(set, line, op, summary);
+            continue;
+        }
+        ++hits;
+        repl_.touch(set, way);
+        if (op == MemOp::kWrite) {
+            dirty_[static_cast<std::size_t>(set) * ways_ + way] =
+                hit_dirty;
         }
     }
+    const auto lines = static_cast<std::uint32_t>(last - first + 1);
+    summary.lines = lines;
+    summary.hits = hits;
+    summary.misses = lines - hits;
+    hits_ += hits;
+    misses_ += lines - hits;
 }
 
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    const Addr line_addr = addr >> line_shift_ << line_shift_;
-    const std::uint32_t set = setIndex(line_addr);
-    const std::uint64_t tag = tagOf(line_addr);
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        const Line &l = line(set, w);
-        if (l.valid && l.tag == tag) {
-            return true;
-        }
-    }
-    return false;
+    const Addr line = addr >> line_shift_;
+    return findWay(static_cast<std::uint32_t>(line & (sets_ - 1)),
+                   line) != ways_;
 }
 
 void
 SetAssocCache::invalidateAll()
 {
-    for (auto &l : lines_) {
-        l.valid = false;
-        l.dirty = false;
-    }
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
 }
 
 std::uint64_t
@@ -194,36 +160,23 @@ SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
 
     // For ranges larger than the cache, walking the cache itself is
     // cheaper than walking the address range.
-    if (last - first + 1 >= lines_.size()) {
-        for (std::uint32_t set = 0; set < sets_; ++set) {
-            for (std::uint32_t w = 0; w < ways_; ++w) {
-                Line &l = line(set, w);
-                if (!l.valid) {
-                    continue;
-                }
-                const Addr la = lineAddr(set, l.tag);
-                if (la >= (first << line_shift_) &&
-                    la <= (last << line_shift_)) {
-                    l.valid = false;
-                    l.dirty = false;
-                    ++invalidated;
-                }
+    if (last - first + 1 >= tags_.size()) {
+        for (std::size_t i = 0; i < tags_.size(); ++i) {
+            if (tags_[i] != kInvalidTag && tags_[i] >= first &&
+                tags_[i] <= last) {
+                invalidateWay(i);
+                ++invalidated;
             }
         }
         return invalidated;
     }
 
-    for (Addr ln = first; ln <= last; ++ln) {
-        const Addr line_addr = ln << line_shift_;
-        const std::uint32_t set = setIndex(line_addr);
-        const std::uint64_t tag = tagOf(line_addr);
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            Line &l = line(set, w);
-            if (l.valid && l.tag == tag) {
-                l.valid = false;
-                l.dirty = false;
-                ++invalidated;
-            }
+    for (Addr line = first; line <= last; ++line) {
+        const auto set = static_cast<std::uint32_t>(line & (sets_ - 1));
+        const std::uint32_t way = findWay(set, line);
+        if (way != ways_) {
+            invalidateWay(static_cast<std::size_t>(set) * ways_ + way);
+            ++invalidated;
         }
     }
     return invalidated;
@@ -232,17 +185,14 @@ SetAssocCache::invalidateRange(Addr addr, std::uint64_t size)
 std::vector<Addr>
 SetAssocCache::flush()
 {
+    // Flat order is set-major, way-minor.
     std::vector<Addr> dirty_lines;
-    for (std::uint32_t set = 0; set < sets_; ++set) {
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            Line &l = line(set, w);
-            if (l.valid && l.dirty) {
-                dirty_lines.push_back(lineAddr(set, l.tag));
-            }
-            l.valid = false;
-            l.dirty = false;
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+        if (tags_[i] != kInvalidTag && dirty_[i] != 0) {
+            dirty_lines.push_back(tags_[i] << line_shift_);
         }
     }
+    invalidateAll();
     writebacks_ += dirty_lines.size();
     return dirty_lines;
 }

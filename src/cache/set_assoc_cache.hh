@@ -99,28 +99,34 @@ class SetAssocCache
     void regStats(StatsRegistry &r) const;
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t tag = 0;
-    };
+    /** Tag of an invalid way.  Tags are line numbers and lines are
+     * at least 2 bytes (CacheConfig::validate), so no line has it. */
+    static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
 
-    std::uint32_t setIndex(Addr line_addr) const;
-    std::uint64_t tagOf(Addr line_addr) const;
-    Addr lineAddr(std::uint32_t set, std::uint64_t tag) const;
-    Line &line(std::uint32_t set, std::uint32_t way);
-    const Line &line(std::uint32_t set, std::uint32_t way) const;
+    /** Way of @p line in @p set, or ways_ on a miss. */
+    std::uint32_t findWay(std::uint32_t set, Addr line) const;
 
-    /** Access a single line; returns hit, may add to summary. */
-    bool accessLine(Addr line_addr, MemOp op, CacheAccessSummary &summary);
+    /** Miss path of accessInto: allocate @p line (unless a write
+     * bypasses), evicting the policy's victim when the set is full. */
+    void missFill(std::uint32_t set, Addr line, MemOp op,
+                  CacheAccessSummary &summary);
+
+    /** Drop the way at flat index @p i (dirty data discarded). */
+    void invalidateWay(std::size_t i);
 
     std::string name_;
     CacheConfig cfg_;
     std::uint32_t sets_;
     std::uint32_t ways_;
     std::uint32_t line_shift_;
-    std::vector<Line> lines_;
+    /**
+     * Structure-of-arrays way state, indexed set * ways_ + way.  The
+     * tag is the full line number (addr >> line_shift_): the set
+     * index is its low bits, and the line address is the tag shifted
+     * back, so neither a probe nor a writeback divides.
+     */
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint8_t> dirty_;
     ReplacementState repl_;
 
     std::uint64_t hits_ = 0;

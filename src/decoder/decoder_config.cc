@@ -10,6 +10,11 @@ DecoderConfig::validate() const
 {
     power.validate();
     cache.validate();
+    if (read_prefetch_bytes < cache.line_bytes ||
+        (read_prefetch_bytes & (read_prefetch_bytes - 1)) != 0) {
+        vs_fatal("read_prefetch_bytes must be a power of two no smaller "
+                 "than the cache line, got ", read_prefetch_bytes);
+    }
     if (encoded_ring_bytes < (1 << 16)) {
         vs_fatal("encoded ring too small");
     }

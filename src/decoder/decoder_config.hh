@@ -50,7 +50,8 @@ struct DecoderConfig
      * the MC reference fetcher bring data in dense bursts of this
      * size, so their DRAM accesses row-hit within a burst; Act/Pre
      * behaviour is then dominated by the decoder's *write* stream,
-     * whose spacing is what racing improves (Sec. 3.2).
+     * whose spacing is what racing improves (Sec. 3.2).  A power of
+     * two no smaller than the cache line.
      */
     std::uint32_t read_prefetch_bytes = 512;
 

@@ -29,9 +29,10 @@ VideoDecoder::readThroughCache(Addr addr, std::uint32_t size, Tick now,
     // Widen the access to the prefetch granularity: the read engines
     // (bitstream DMA, MC fetcher) fill whole aligned regions in one
     // dense burst, so fills of one region row-hit each other.
-    const Addr pf = cfg_.read_prefetch_bytes;
-    const Addr lo = addr / pf * pf;
-    const Addr hi = (addr + size + pf - 1) / pf * pf;
+    // read_prefetch_bytes is a power of two (DecoderConfig::validate).
+    const Addr pf_mask = cfg_.read_prefetch_bytes - 1;
+    const Addr lo = addr & ~pf_mask;
+    const Addr hi = (addr + size + pf_mask) & ~pf_mask;
 
     CacheAccessSummary &s = access_scratch_;
     cache_->accessInto(lo, static_cast<std::uint32_t>(hi - lo),
@@ -50,9 +51,11 @@ Tick
 VideoDecoder::readEncoded(std::uint64_t bytes, Tick now, Tick *stall)
 {
     // Sequential walk of the encoded ring through the VD cache.
-    const Addr addr =
-        encoded_region_ + encoded_cursor_ % cfg_.encoded_ring_bytes;
+    const Addr addr = encoded_region_ + encoded_cursor_;
     encoded_cursor_ += bytes;
+    if (encoded_cursor_ >= cfg_.encoded_ring_bytes) {
+        encoded_cursor_ %= cfg_.encoded_ring_bytes;
+    }
     return readThroughCache(addr, static_cast<std::uint32_t>(bytes), now,
                             stall);
 }

@@ -100,6 +100,7 @@ class VideoDecoder : public SimObject
     std::unique_ptr<SetAssocCache> cache_;
 
     Addr encoded_region_ = 0;
+    /** Read position in the encoded ring, always < its size. */
     std::uint64_t encoded_cursor_ = 0;
 
     /** Reused cache-access scratch: readThroughCache runs per mab

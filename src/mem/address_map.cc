@@ -1,12 +1,18 @@
 #include "mem/address_map.hh"
 
+#include <array>
+#include <utility>
+
 #include "sim/logging.hh"
 
 namespace vstream
 {
 
+namespace
+{
+
 std::uint32_t
-AddressMap::log2OfPow2(std::uint64_t v)
+log2OfPow2(std::uint64_t v)
 {
     vs_assert(v != 0 && (v & (v - 1)) == 0, "value not a power of two");
     std::uint32_t bits = 0;
@@ -17,117 +23,52 @@ AddressMap::log2OfPow2(std::uint64_t v)
     return bits;
 }
 
+} // namespace
+
 AddressMap::AddressMap(const DramConfig &cfg)
 {
     cfg.validate();
     burst_shift_ = log2OfPow2(cfg.bytesPerBurst());
-    channel_bits_ = log2OfPow2(cfg.channels);
     columns_per_row_ = cfg.row_bytes / cfg.bytesPerBurst();
-    column_bits_ = log2OfPow2(columns_per_row_);
-    bank_bits_ = log2OfPow2(cfg.banks_per_rank);
-    rank_bits_ = cfg.ranks_per_channel > 1
-                     ? log2OfPow2(cfg.ranks_per_channel)
-                     : 0;
     capacity_ = cfg.capacity_bytes;
     order_ = cfg.map_order;
-}
 
-std::array<AddressMap::Field, 4>
-AddressMap::fieldOrder() const
-{
+    const std::uint32_t rank_bits =
+        cfg.ranks_per_channel > 1 ? log2OfPow2(cfg.ranks_per_channel) : 0;
     // LSB-to-MSB order of the sub-row fields; the row always takes
     // the remaining high bits.
+    using Slot = std::pair<FieldSlot *, std::uint32_t>;
+    const Slot channel{&channel_, log2OfPow2(cfg.channels)};
+    const Slot column{&column_, log2OfPow2(columns_per_row_)};
+    const Slot bank{&bank_, log2OfPow2(cfg.banks_per_rank)};
+    const Slot rank{&rank_, rank_bits};
+    std::array<Slot, 4> order{};
     switch (order_) {
       case AddrMapOrder::kRoRaBaCoCh:
-        return {Field::kChannel, Field::kColumn, Field::kBank,
-                Field::kRank};
+        order = {channel, column, bank, rank};
+        break;
       case AddrMapOrder::kRoRaBaChCo:
-        return {Field::kColumn, Field::kChannel, Field::kBank,
-                Field::kRank};
+        order = {column, channel, bank, rank};
+        break;
       case AddrMapOrder::kRoRaCoBaCh:
-        return {Field::kChannel, Field::kBank, Field::kColumn,
-                Field::kRank};
+        order = {channel, bank, column, rank};
+        break;
+      default:
+        vs_panic("unreachable address-map order");
     }
-    vs_panic("unreachable address-map order");
-}
-
-std::uint32_t
-AddressMap::fieldBits(Field f) const
-{
-    switch (f) {
-      case Field::kChannel:
-        return channel_bits_;
-      case Field::kColumn:
-        return column_bits_;
-      case Field::kBank:
-        return bank_bits_;
-      case Field::kRank:
-        return rank_bits_;
+    for (const auto &[slot, bits] : order) {
+        slot->shift = row_shift_;
+        slot->mask = (1u << bits) - 1;
+        row_shift_ += bits;
     }
-    return 0;
-}
-
-DramCoord
-AddressMap::decompose(Addr addr) const
-{
-    Addr a = (addr % capacity_) >> burst_shift_;
-
-    DramCoord coord;
-    for (Field f : fieldOrder()) {
-        const std::uint32_t bits = fieldBits(f);
-        if (bits == 0) {
-            continue;
-        }
-        const auto value =
-            static_cast<std::uint32_t>(a & ((1u << bits) - 1));
-        a >>= bits;
-        switch (f) {
-          case Field::kChannel:
-            coord.channel = value;
-            break;
-          case Field::kColumn:
-            coord.column = value;
-            break;
-          case Field::kBank:
-            coord.bank = value;
-            break;
-          case Field::kRank:
-            coord.rank = value;
-            break;
-        }
-    }
-    coord.row = a;
-    return coord;
 }
 
 Addr
 AddressMap::compose(const DramCoord &coord) const
 {
-    Addr a = coord.row;
-    const auto order = fieldOrder();
-    // Re-insert the fields MSB-to-LSB (reverse of decompose).
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-        const std::uint32_t bits = fieldBits(*it);
-        if (bits == 0) {
-            continue;
-        }
-        std::uint32_t value = 0;
-        switch (*it) {
-          case Field::kChannel:
-            value = coord.channel;
-            break;
-          case Field::kColumn:
-            value = coord.column;
-            break;
-          case Field::kBank:
-            value = coord.bank;
-            break;
-          case Field::kRank:
-            value = coord.rank;
-            break;
-        }
-        a = (a << bits) | value;
-    }
+    const Addr a = (coord.row << row_shift_) | channel_.place(coord.channel) |
+                   column_.place(coord.column) | bank_.place(coord.bank) |
+                   rank_.place(coord.rank);
     return a << burst_shift_;
 }
 

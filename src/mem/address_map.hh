@@ -11,7 +11,6 @@
 #ifndef VSTREAM_MEM_ADDRESS_MAP_HH
 #define VSTREAM_MEM_ADDRESS_MAP_HH
 
-#include <array>
 #include <cstdint>
 
 #include "mem/dram_config.hh"
@@ -45,9 +44,24 @@ class AddressMap
     explicit AddressMap(const DramConfig &cfg);
 
     /** Decompose @p addr (wraps modulo capacity). */
-    DramCoord decompose(Addr addr) const;
+    DramCoord
+    decompose(Addr addr) const
+    {
+        if (addr >= capacity_) {
+            addr %= capacity_;
+        }
+        const Addr a = addr >> burst_shift_;
+        DramCoord coord;
+        coord.channel = channel_.of(a);
+        coord.rank = rank_.of(a);
+        coord.bank = bank_.of(a);
+        coord.row = a >> row_shift_;
+        coord.column = column_.of(a);
+        return coord;
+    }
 
-    /** Recompose coordinates back to the canonical address. */
+    /** Recompose coordinates back to the canonical address (each
+     * sub-row field taken modulo its width). */
     Addr compose(const DramCoord &coord) const;
 
     /** Columns (bursts) per row. */
@@ -56,23 +70,33 @@ class AddressMap
     AddrMapOrder order() const { return order_; }
 
   private:
-    enum class Field
+    /** Position of one sub-row field in the burst index. */
+    struct FieldSlot
     {
-        kChannel,
-        kColumn,
-        kBank,
-        kRank,
+        std::uint32_t shift = 0;
+        /** (1 << bits) - 1; 0 for a field with one value. */
+        std::uint32_t mask = 0;
+
+        std::uint32_t
+        of(Addr burst_index) const
+        {
+            return static_cast<std::uint32_t>(burst_index >> shift) & mask;
+        }
+
+        Addr
+        place(std::uint32_t value) const
+        {
+            return static_cast<Addr>(value & mask) << shift;
+        }
     };
 
-    static std::uint32_t log2OfPow2(std::uint64_t v);
-    std::array<Field, 4> fieldOrder() const;
-    std::uint32_t fieldBits(Field f) const;
-
     std::uint32_t burst_shift_;
-    std::uint32_t channel_bits_;
-    std::uint32_t column_bits_;
-    std::uint32_t bank_bits_;
-    std::uint32_t rank_bits_;
+    FieldSlot channel_;
+    FieldSlot column_;
+    FieldSlot bank_;
+    FieldSlot rank_;
+    /** Total sub-row bits: the row takes everything above. */
+    std::uint32_t row_shift_ = 0;
     std::uint64_t capacity_;
     std::uint32_t columns_per_row_;
     AddrMapOrder order_ = AddrMapOrder::kRoRaBaCoCh;

@@ -6,10 +6,12 @@
 #ifndef VSTREAM_MEM_DRAM_CHANNEL_HH
 #define VSTREAM_MEM_DRAM_CHANNEL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "mem/dram_bank.hh"
+#include "sim/logging.hh"
 #include "sim/ticks.hh"
 
 namespace vstream
@@ -22,8 +24,14 @@ class DramChannel
     DramChannel(std::uint32_t ranks, std::uint32_t banks_per_rank);
 
     /** Bank object for (rank, bank). */
-    DramBank &bank(std::uint32_t rank, std::uint32_t bank_idx);
-    const DramBank &bank(std::uint32_t rank, std::uint32_t bank_idx) const;
+    DramBank &
+    bank(std::uint32_t rank, std::uint32_t bank_idx)
+    {
+        const std::size_t idx =
+            static_cast<std::size_t>(rank) * banks_per_rank_ + bank_idx;
+        vs_assert(idx < banks_.size(), "bank index out of range");
+        return banks_[idx];
+    }
 
     /** Earliest tick the data bus is free. */
     Tick busFreeAt() const { return bus_free_at_; }
@@ -34,7 +42,12 @@ class DramChannel
      *
      * @return the tick the transfer completes.
      */
-    Tick occupyBus(Tick earliest, Tick duration);
+    Tick
+    occupyBus(Tick earliest, Tick duration)
+    {
+        bus_free_at_ = std::max(earliest, bus_free_at_) + duration;
+        return bus_free_at_;
+    }
 
     std::uint32_t bankCount() const
     {

@@ -113,6 +113,9 @@ class DramController
     void drainBank(std::size_t bank_idx, Tick now);
 
     DramConfig cfg_;
+    /** cfg_.bytesPerBurst() and cfg_.burstTime(), read per burst. */
+    std::uint32_t bytes_per_burst_;
+    Tick burst_time_;
     AddressMap map_;
     DramEnergy energy_;
     std::vector<DramChannel> channels_;
@@ -130,6 +133,9 @@ class DramController
     /** SplitMix64 state behind the backoff jitter (seeded from the
      * fault schedule so delays are reproducible). */
     std::uint64_t jitter_state_ = 0;
+
+    /** Initial jitter_state_ for the armed injector. */
+    std::uint64_t jitterSeed() const;
 };
 
 } // namespace vstream

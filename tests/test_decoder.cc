@@ -223,6 +223,19 @@ TEST(DecoderConfigDeath, RejectsBadJitter)
     EXPECT_DEATH(cfg.validate(), "jitter");
 }
 
+TEST(DecoderConfigDeath, RejectsBadReadPrefetch)
+{
+    DecoderConfig cfg;
+    cfg.read_prefetch_bytes = 384; // not a power of two
+    EXPECT_DEATH(cfg.validate(), "read_prefetch_bytes");
+    cfg.read_prefetch_bytes = 32; // below the 64 B cache line
+    EXPECT_DEATH(cfg.validate(), "read_prefetch_bytes");
+    cfg.read_prefetch_bytes = 0;
+    EXPECT_DEATH(cfg.validate(), "read_prefetch_bytes");
+    cfg.read_prefetch_bytes = 64; // one line is the smallest legal size
+    cfg.validate();
+}
+
 TEST(DecoderConfig, DefaultsValid)
 {
     DecoderConfig cfg;

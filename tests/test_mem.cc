@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "mem/address_map.hh"
 #include "mem/dram_bank.hh"
 #include "mem/dram_controller.hh"
 #include "mem/memory_system.hh"
 #include "sim/event_queue.hh"
+#include "sim/fault_injector.hh"
 
 namespace vstream
 {
@@ -247,6 +249,46 @@ TEST(DramController, ResetClearsState)
     const auto r = ctrl.access(
         MemRequest{0, 32, MemOp::kRead, Requester::kVideoDecoder}, 0);
     EXPECT_EQ(r.activations, 1u); // cold again
+
+    // With timeouts injected, a reset controller must replay a stream
+    // exactly as a freshly built one: backoff totals and the jitter
+    // stream restart too.  The two injectors are kept in step by
+    // running the warm-up stream past both.
+    FaultConfig fc;
+    fc.seed = 9;
+    fc.rules.push_back(parseFaultRule(FaultClass::kDramTimeout, "p=0.3"));
+    FaultInjector warm_faults("warm", nullptr, fc);
+    FaultInjector fresh_faults("fresh", nullptr, fc);
+    const auto stream = [](DramController &c, Tick t0) {
+        std::vector<Tick> finishes;
+        for (Addr a = 0; a < 64 * 1024; a += 1000) {
+            const MemRequest req{a, 200, a % 3000 ? MemOp::kRead
+                                                  : MemOp::kWrite,
+                                 Requester::kVideoDecoder};
+            finishes.push_back(c.access(req, t0 + a).finish_tick);
+        }
+        return finishes;
+    };
+    DramController warm(smallConfig());
+    warm.setFaultInjector(&warm_faults);
+    DramController warm_twin(smallConfig());
+    warm_twin.setFaultInjector(&fresh_faults);
+    EXPECT_EQ(stream(warm, 0), stream(warm_twin, 0));
+    ASSERT_GT(warm.retryCount(), 0u);
+    ASSERT_GT(warm.backoffTicks(), 0u);
+
+    warm.reset();
+    EXPECT_EQ(warm.retryCount(), 0u);
+    EXPECT_EQ(warm.abandonedCount(), 0u);
+    EXPECT_EQ(warm.backoffTicks(), 0u);
+    DramController fresh(smallConfig());
+    fresh.setFaultInjector(&fresh_faults);
+    EXPECT_EQ(stream(warm, 5000), stream(fresh, 5000));
+    EXPECT_EQ(warm.retryCount(), fresh.retryCount());
+    EXPECT_EQ(warm.abandonedCount(), fresh.abandonedCount());
+    EXPECT_EQ(warm.backoffTicks(), fresh.backoffTicks());
+    EXPECT_EQ(warm.energy().totalCounts().activations,
+              fresh.energy().totalCounts().activations);
 }
 
 TEST(MemorySystem, AllocateBumpsAndAligns)
