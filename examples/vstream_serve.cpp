@@ -20,7 +20,6 @@
  *     --bandwidth MBPS      aggregate DRAM budget (default 2000)
  *     --framebuffer MB      aggregate pool budget (default 64)
  *     --max-active N        concurrent-session cap (default 64)
- *     --no-queue            reject over-budget submissions outright
  *     --window N            health window, vsyncs (default 32)
  *     --verify-on-hit       byte-compare MACH hits
  *     --stats-json FILE     dump serve.* statistics as JSON
@@ -91,7 +90,7 @@ usage(const char *argv0)
               << " [--sessions N] [--video V1..V16] [--frames N]\n"
                  "  [--scheme L|B|R|S|M|G] [--batch N]\n"
                  "  [--bandwidth MBPS] [--framebuffer MB] "
-                 "[--max-active N] [--no-queue]\n"
+                 "[--max-active N]\n"
                  "  [--window N] [--verify-on-hit] "
                  "[--stats-json FILE] [--jobs N]\n"
                  "  [--shards N] [--arrival-rate R] "
@@ -202,8 +201,6 @@ main(int argc, char **argv)
                 20;
         } else if (arg == "--max-active") {
             serve.max_active = nextU32();
-        } else if (arg == "--no-queue") {
-            serve.queue_when_full = false;
         } else if (arg == "--window") {
             window = nextU32();
         } else if (arg == "--verify-on-hit") {

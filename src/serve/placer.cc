@@ -23,7 +23,7 @@ FleetConfig::validate() const
 }
 
 Placer::Placer(FleetConfig cfg, SessionFactory factory)
-    : cfg_(cfg), factory_(std::move(factory))
+    : cfg_(cfg), factory_(std::move(factory)), core_(cfg_.serve)
 {
     cfg_.validate();
     vs_assert(factory_ != nullptr, "fleet needs a session factory");
@@ -90,25 +90,6 @@ Placer::Placer(FleetConfig cfg, SessionFactory factory)
                      [](const ChaosEvent &a, const ChaosEvent &b) {
                          return a.tick < b.tick;
                      });
-}
-
-bool
-Placer::fits(double bw_mbps, std::uint64_t fb_bytes) const
-{
-    // Global admission, same predicate as SessionManager::fits -
-    // no term here may depend on the shard layout.
-    return active_.size() < cfg_.serve.max_active &&
-           bw_reserved_ + bw_mbps <=
-               cfg_.serve.bandwidth_budget_mbps &&
-           fb_reserved_ + fb_bytes <=
-               cfg_.serve.framebuffer_budget_bytes;
-}
-
-bool
-Placer::couldEverFit(double bw_mbps, std::uint64_t fb_bytes) const
-{
-    return bw_mbps <= cfg_.serve.bandwidth_budget_mbps &&
-           fb_bytes <= cfg_.serve.framebuffer_budget_bytes;
 }
 
 std::uint32_t
@@ -178,15 +159,6 @@ Placer::rebalance()
     }
 }
 
-Tick
-Placer::frontDeadline() const
-{
-    const Tick dl = cfg_.serve.queue_deadline;
-    const Tick enq = waiting_.front().enqueue;
-    // Saturate: a deadline past the tick range never fires.
-    return enq > maxTick - dl ? maxTick : enq + dl;
-}
-
 void
 Placer::advanceTo(Tick t)
 {
@@ -199,18 +171,10 @@ Placer::advanceTo(Tick t)
         // queue deadline); checkpoint-before-crash at the same tick
         // means the crash loses nothing.
         Tick best = maxTick;
-        int kind = -1;
-        if (!active_.empty()) {
-            best = active_.top().tick;
-            kind = 0;
-        }
-        if (cfg_.serve.queue_deadline > 0 && !waiting_.empty()) {
-            const Tick dl = frontDeadline();
-            if (dl < best) {
-                best = dl;
-                kind = 1;
-            }
-        }
+        const AdmissionDue due = core_.next(best);
+        int kind = due == AdmissionDue::kFinish     ? 0
+                   : due == AdmissionDue::kDeadline ? 1
+                                                    : -1;
         if (checkpointing_ && next_checkpoint_ < best) {
             best = next_checkpoint_;
             kind = 2;
@@ -254,16 +218,9 @@ Placer::advanceTo(Tick t)
 void
 Placer::finishOne()
 {
-    const Finish f = active_.top();
-    active_.pop();
-    const auto it = live_.find(f.seq);
-    vs_assert(it != live_.end(), "finish for unknown session");
-    Live &l = it->second;
-    shards_[l.shard].release(l.bw_mbps, l.fb_bytes);
-    bw_reserved_ -= l.bw_mbps;
-    vs_assert(fb_reserved_ >= l.fb_bytes,
-              "fleet frame-buffer reservation underflow");
-    fb_reserved_ -= l.fb_bytes;
+    Live l = core_.popFinish();
+    shards_[l.shard].release(l.demand.bw_mbps, l.demand.fb_bytes);
+    core_.release(l.demand);
     // Fold-at-finish: the outcome becomes durable shard state only
     // now, so a crash before this point cleanly unwinds the session
     // (it is failed over, not half-counted).  The fold is exact and
@@ -287,16 +244,13 @@ Placer::finishOne()
         }
         journals_[l.shard].push_back(std::move(e));
     }
-    live_.erase(it);
     drainWaiting();
 }
 
 void
 Placer::expireFront()
 {
-    // The front has the earliest enqueue tick (strict FIFO), hence
-    // the earliest deadline; it timed out before budget freed.
-    waiting_.pop_front();
+    core_.expireFront();
     ++recovery_.queue_timeouts;
     updateFleetHealth();
 }
@@ -383,12 +337,8 @@ Placer::crashShard(std::uint32_t shard)
         c.id = e.arrival.id;
         c.leave_after = e.arrival.leave_after;
         c.dedup_record = dedup_ != nullptr;
-        RehearsedSession reh = rehearseSession(c);
-        SessionOutcome o = std::move(reh.outcome);
-        o.start_offset = e.start;
-        o.end_tick = e.start + reh.local_end;
-        o.dwell[static_cast<std::size_t>(HealthState::kHealthy)] +=
-            e.start;
+        SessionOutcome o = rehearseSession(c).outcome;
+        rebaseOutcome(o, e.start);
         sh.absorb(o);
         if (dedup_) {
             // Settlement depends on tier state at the *original*
@@ -405,12 +355,12 @@ Placer::crashShard(std::uint32_t shard)
     // crashed shard's reservations died with it; the survivors pick
     // them up, and the *global* reservation never moved - failover
     // cannot admit, reject or delay anyone.
-    for (auto &[seq, l] : live_) {
+    for (auto &[seq, l] : core_.running()) {
         if (l.shard != shard) {
             continue;
         }
         const std::uint32_t to = pickSurvivor(shard);
-        shards_[to].reserve(l.bw_mbps, l.fb_bytes);
+        shards_[to].reserve(l.demand.bw_mbps, l.demand.fb_bytes);
         l.shard = to;
         ++recovery_.failed_over;
     }
@@ -428,7 +378,7 @@ Placer::updateFleetHealth()
     }
     FleetHealth want = FleetHealth::kHealthy;
     if (cfg_.chaos.shed_depth > 0 &&
-        waiting_.size() >= cfg_.chaos.shed_depth) {
+        core_.waiting() >= cfg_.chaos.shed_depth) {
         want = FleetHealth::kShedding;
     } else {
         for (const std::uint32_t depth : brownout_depth_) {
@@ -444,30 +394,20 @@ Placer::updateFleetHealth()
 }
 
 void
-Placer::admit(Pending &&p, Tick start)
+Placer::admit(Pending &&p, const Demand &d)
 {
     ++admitted_;
     const std::uint32_t sh = pickShard();
-    shards_[sh].reserve(p.bw_mbps, p.fb_bytes);
-    bw_reserved_ += p.bw_mbps;
-    fb_reserved_ += p.fb_bytes;
+    shards_[sh].reserve(d.bw_mbps, d.fb_bytes);
+    core_.reserve(d);
 
     Live l;
     l.outcome = std::move(p.reh.outcome);
-    const Tick finish_tick = start + p.reh.local_end;
-    l.outcome.start_offset = start;
-    l.outcome.end_tick = finish_tick;
-    // The ladder clock starts at construction, so a live session
-    // admitted at offset T dwells Healthy for T extra ticks before
-    // its first transition; mirror SessionManager's rebasing.
-    l.outcome
-        .dwell[static_cast<std::size_t>(HealthState::kHealthy)] +=
-        start;
+    rebaseOutcome(l.outcome, cur_tick_);
     l.arrival = p.arrival;
-    l.start = start;
+    l.start = cur_tick_;
     l.shard = sh;
-    l.bw_mbps = p.bw_mbps;
-    l.fb_bytes = p.fb_bytes;
+    l.demand = d;
 
     // Settle the session's block log against its shard's fault
     // domain on the serial timeline; the acquired lease holds the
@@ -477,58 +417,44 @@ Placer::admit(Pending &&p, Tick start)
             dedup_->publish(sh, l.outcome.dedup, l.dedup_lease);
     }
 
-    const std::uint64_t seq = next_seq_++;
-    live_.emplace(seq, std::move(l));
-    active_.push(Finish{finish_tick, seq});
+    const Tick finish_tick = l.outcome.end_tick;
+    core_.scheduleFinish(finish_tick, std::move(l));
     peak_active_ = std::max<std::uint64_t>(peak_active_,
-                                           active_.size());
+                                           core_.active());
 }
 
 void
 Placer::drainWaiting()
 {
-    // Strict FIFO, as in SessionManager::drainWaiting: no
-    // head-of-line skipping, so admission order is independent of
-    // session sizes (and of everything shard-shaped).
-    while (!waiting_.empty()) {
-        const Pending &front = waiting_.front();
-        if (!fits(front.bw_mbps, front.fb_bytes)) {
-            break;
-        }
-        Pending p = std::move(waiting_.front());
-        waiting_.pop_front();
-        admit(std::move(p), cur_tick_);
-    }
+    core_.drain([this](auto &&w) {
+        admit(std::move(w.item), w.demand);
+    });
     updateFleetHealth();
 }
 
 void
-Placer::submitRehearsed(Pending &&p)
+Placer::submitRehearsed(Pending &&p, const Demand &d)
 {
-    if (fits(p.bw_mbps, p.fb_bytes)) {
-        admit(std::move(p), cur_tick_);
+    // run() rejected the whales unrehearsed, so what does not fit
+    // now queues - unless the fleet is shedding.
+    if (core_.fits(d)) {
+        admit(std::move(p), d);
         return;
     }
-    if (cfg_.serve.queue_when_full &&
-        couldEverFit(p.bw_mbps, p.fb_bytes)) {
-        // The shedding ladder: past the configured queue depth the
-        // fleet drops arrivals outright instead of letting the
-        // queue (and its deadline backlog) grow without bound.
-        if (cfg_.chaos.shed_depth > 0 &&
-            waiting_.size() >= cfg_.chaos.shed_depth) {
-            ++recovery_.shed;
-            updateFleetHealth();
-            return;
-        }
-        ++queued_;
-        p.enqueue = cur_tick_;
-        waiting_.push_back(std::move(p));
-        peak_waiting_ = std::max<std::uint64_t>(peak_waiting_,
-                                                waiting_.size());
+    // The shedding ladder: past the configured queue depth the fleet
+    // drops arrivals outright instead of letting the queue (and its
+    // deadline backlog) grow without bound.
+    if (cfg_.chaos.shed_depth > 0 &&
+        core_.waiting() >= cfg_.chaos.shed_depth) {
+        ++recovery_.shed;
         updateFleetHealth();
         return;
     }
-    ++rejected_;
+    ++queued_;
+    core_.enqueue(std::move(p), d, cur_tick_);
+    peak_waiting_ =
+        std::max<std::uint64_t>(peak_waiting_, core_.waiting());
+    updateFleetHealth();
 }
 
 void
@@ -550,8 +476,7 @@ Placer::run(const std::vector<ArrivalEvent> &arrivals)
         // stateful when journaling is off), then rehearse the
         // admissible ones in parallel.
         std::vector<SessionConfig> cfgs;
-        std::vector<double> bws(n, 0.0);
-        std::vector<std::uint64_t> fbs(n, 0);
+        std::vector<Demand> demands(n);
         std::vector<bool> whale(n, false);
         cfgs.reserve(n);
         std::vector<std::size_t> live;
@@ -565,12 +490,11 @@ Placer::run(const std::vector<ArrivalEvent> &arrivals)
             c.id = a.id;
             c.leave_after = a.leave_after;
             c.dedup_record = dedup_ != nullptr;
-            bws[j] = Session::demandMBps(c.pipeline);
-            fbs[j] = Session::framebufferBytes(c.pipeline);
+            demands[j] = Demand::of(c.pipeline);
             // Whales can never fit: reject without rehearsing (the
             // decision is budget-only, so skipping the rehearsal
             // cannot perturb the timeline).
-            whale[j] = !couldEverFit(bws[j], fbs[j]);
+            whale[j] = !core_.couldEverFit(demands[j]);
             if (!whale[j]) {
                 live.push_back(j);
             }
@@ -588,25 +512,20 @@ Placer::run(const std::vector<ArrivalEvent> &arrivals)
                 ++rejected_;
                 continue;
             }
-            Pending p;
-            p.reh = std::move(rehs[next_live++]);
-            p.arrival = arrivals[base + j];
-            p.bw_mbps = bws[j];
-            p.fb_bytes = fbs[j];
-            submitRehearsed(std::move(p));
+            submitRehearsed(Pending{std::move(rehs[next_live++]),
+                                    arrivals[base + j]},
+                            demands[j]);
         }
         base += n;
     }
     // Drain: every finish frees budget, which admits more of the
-    // queue; couldEverFit guarantees the queue empties (deadline
+    // queue; the whale rule guarantees the queue empties (deadline
     // expiries along the way fire inside advanceTo).
-    while (!active_.empty()) {
-        advanceTo(active_.top().tick);
+    while (core_.inFlight() > 0) {
+        advanceTo(core_.nextFinish());
     }
-    vs_assert(waiting_.empty(),
+    vs_assert(core_.waiting() == 0,
               "fleet drained with sessions still queued");
-    vs_assert(live_.empty(),
-              "fleet drained with sessions still in flight");
     if (dedup_) {
         // Surface the per-domain aggregates through the shard
         // snapshots so fleet reports can attribute poisoning (false

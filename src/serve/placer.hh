@@ -7,12 +7,11 @@
  * virtual serving timeline.  The division of labour is what makes
  * the fleet's JSON byte-identical at any --shards count:
  *
- *  - *Admission is global.*  One budget pool (ServeConfig: DRAM
- *    bandwidth, frame-buffer bytes, max_active), one strict-FIFO
- *    wait queue with an optional deadline, one whale-rejection rule -
- *    evaluated on the shared timeline exactly as SessionManager does
- *    for a single shard.  Nothing about admit/queue/reject depends
- *    on the shard count.
+ *  - *Admission is global.*  One AdmissionCore (serve/admission.hh,
+ *    the SessionManager's too): one budget pool, one strict-FIFO
+ *    wait queue with an optional deadline, one whale-rejection rule,
+ *    evaluated on the shared timeline.  Nothing about
+ *    admit/queue/reject depends on the shard count.
  *
  *  - *Placement is advisory.*  Each shard owns a slice of the global
  *    budget as a placement weight; arrivals route to the least-
@@ -57,16 +56,13 @@
 #define VSTREAM_SERVE_PLACER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <queue>
 #include <vector>
 
+#include "serve/admission.hh"
 #include "serve/arrivals.hh"
 #include "serve/chaos.hh"
-#include "serve/session_manager.hh"
 #include "serve/shard.hh"
 #include "serve/shared_mach.hh"
 #include "serve/snapshot.hh"
@@ -77,8 +73,7 @@ namespace vstream
 /** Fleet-level configuration: global budgets + shard layout. */
 struct FleetConfig
 {
-    /** Global admission budgets (shared semantics with the
-     * single-shard SessionManager). */
+    /** Global admission budgets. */
     ServeConfig serve;
     /** Shard count; slices start as an equal split of the global
      * budget.  Any value >= 1 yields byte-identical fleet JSON. */
@@ -176,28 +171,6 @@ class Placer
         RehearsedSession reh;
         /** The arrival it came from (journaled on finish). */
         ArrivalEvent arrival;
-        double bw_mbps = 0.0;
-        std::uint64_t fb_bytes = 0;
-        /** Tick it entered the wait queue (deadline base). */
-        Tick enqueue = 0;
-    };
-
-    /** Heap entry for one admitted session; everything else lives
-     * in live_ so failover can re-home it. */
-    struct Finish
-    {
-        Tick tick = 0;
-        std::uint64_t seq = 0;
-
-        /** Min-heap order: earliest (tick, seq) first. */
-        bool
-        operator>(const Finish &o) const
-        {
-            if (tick != o.tick) {
-                return tick > o.tick;
-            }
-            return seq > o.seq;
-        }
     };
 
     /** Resident state of one in-flight session.  The outcome is
@@ -209,8 +182,7 @@ class Placer
         ArrivalEvent arrival;
         Tick start = 0;
         std::uint32_t shard = 0;
-        double bw_mbps = 0.0;
-        std::uint64_t fb_bytes = 0;
+        Demand demand;
         /** Settled dedup accounting (admit time); folded into the
          * shard at finish. */
         DedupSettle dedup_settle;
@@ -250,9 +222,6 @@ class Placer
         double factor = 1.0;
     };
 
-    bool fits(double bw_mbps, std::uint64_t fb_bytes) const;
-    bool couldEverFit(double bw_mbps, std::uint64_t fb_bytes) const;
-
     /** Process finishes, queue deadlines, checkpoints, chaos events
      * and rebalance points up to @p t; leaves cur_tick_ == t. */
     void advanceTo(Tick t);
@@ -263,14 +232,12 @@ class Placer
 
     /** Expire the wait-queue front past its admission deadline. */
     void expireFront();
-    /** Deadline of the wait-queue front (maxTick when unbounded). */
-    Tick frontDeadline() const;
 
-    /** Route + reserve @p p starting at @p start; the outcome goes
-     * resident until the finish event folds it in. */
-    void admit(Pending &&p, Tick start);
+    /** Route + reserve @p p starting now; the outcome goes resident
+     * until the finish event folds it in. */
+    void admit(Pending &&p, const Demand &d);
 
-    void submitRehearsed(Pending &&p);
+    void submitRehearsed(Pending &&p, const Demand &d);
     void drainWaiting();
     std::uint32_t pickShard() const;
     void rebalance();
@@ -291,16 +258,9 @@ class Placer
     std::unique_ptr<SharedMachTier> dedup_;
     // vstream:shard_local
     std::vector<Shard> shards_;
-    // vstream:shard_local
-    std::priority_queue<Finish, std::vector<Finish>,
-                        std::greater<Finish>>
-        active_;
-    /** In-flight sessions by admission seq.  Ordered map: crash
-     * failover iterates it, and that order must be deterministic. */
-    std::map<std::uint64_t, Live> live_;
-    /** Sessions waiting for budget; the front expires once it has
-     * queued past ServeConfig::queue_deadline. */
-    std::deque<Pending> waiting_;
+    /** Global budgets, the wait queue, and in-flight sessions by
+     * admission seq. */
+    AdmissionCore<Pending, Live> core_;
 
     /** Per-shard finish journals since the last checkpoint (only
      * populated when crash rules exist). */
@@ -317,9 +277,6 @@ class Placer
     Tick cur_tick_ = 0;
     Tick next_rebalance_ = 0;
     Tick next_checkpoint_ = maxTick;
-    std::uint64_t next_seq_ = 0;
-    double bw_reserved_ = 0.0;
-    std::uint64_t fb_reserved_ = 0;
     std::uint64_t admitted_ = 0;
     std::uint64_t queued_ = 0;
     std::uint64_t rejected_ = 0;

@@ -23,21 +23,65 @@ jitterSeed(const SessionConfig &cfg)
     return splitMix64(state);
 }
 
-} // namespace
+/**
+ * One session's private substrate and health machinery, stepped one
+ * vsync at a time on its local clock (tick 0 = admission).
+ */
+class Session
+{
+  public:
+    explicit Session(SessionConfig cfg);
+
+    Session(const Session &) = delete;
+    Session &operator=(const Session &) = delete;
+
+    /** No more vsyncs wanted (playback complete, evicted, or the
+     * viewer left per SessionConfig::leave_after). */
+    bool done() const;
+
+    /** done() because the viewer left, not because playback
+     * completed or the ladder evicted. */
+    bool leftEarly() const;
+
+    /** Local tick of the next vsync (valid while !done()). */
+    Tick nextTick() const { return pipeline_.nextVsyncTick(); }
+
+    /** Process one vsync; on a window boundary, evaluate health. */
+    void stepVsync();
+
+    /** Close the playback at local tick @p end and fill @p o. */
+    void finish(Tick end, SessionOutcome &o);
+
+  private:
+    void evaluateWindow(Tick now);
+
+    SessionConfig cfg_;
+    VideoPipeline pipeline_;
+    HealthLadder ladder_;
+    CircuitBreaker breaker_;
+    /** Per-session write log; private to this session's (possibly
+     * worker-thread) rehearsal. */
+    DedupRecorder dedup_recorder_;
+    /** The session's own jitter stream (breaker cooldowns). */
+    Random rng_;
+    TraceError trace_error_ = TraceError::kNone;
+
+    // window bookkeeping
+    std::uint32_t vsyncs_ = 0;
+    std::uint64_t last_drops_ = 0;
+    std::uint64_t last_underruns_ = 0;
+    std::uint64_t last_lookups_ = 0;
+    std::uint64_t last_false_hits_ = 0;
+    std::uint32_t degraded_streak_ = 0;
+    std::uint32_t clean_streak_ = 0;
+    std::uint32_t quarantined_windows_ = 0;
+};
 
 Session::Session(SessionConfig cfg)
     : cfg_(std::move(cfg)), pipeline_(cfg_.pipeline),
       breaker_(cfg_.breaker), rng_(jitterSeed(cfg_))
 {
     cfg_.health.validate();
-}
-
-void
-Session::start(Tick start_offset)
-{
-    vs_assert(!started_, "a session may only start once");
-    started_ = true;
-    start_offset_ = start_offset;
     pipeline_.start();
 
     // Dedup recording observes unique-block writes into a private
@@ -61,11 +105,9 @@ Session::start(Tick start_offset)
             loadTrace(is, cfg_.trace_policy, nullptr);
         trace_error_ = tr.error;
         if (!tr.ok()) {
-            ladder_.transitionTo(HealthState::kQuarantined,
-                                 start_offset_);
+            ladder_.transitionTo(HealthState::kQuarantined, 0);
         } else if (tr.frames_skipped > 0) {
-            ladder_.transitionTo(HealthState::kDegraded,
-                                 start_offset_);
+            ladder_.transitionTo(HealthState::kDegraded, 0);
         }
     }
 }
@@ -90,16 +132,9 @@ Session::leftEarly() const
            pipeline_.nextVsyncTick() >= cfg_.leave_after;
 }
 
-Tick
-Session::nextTick() const
-{
-    return start_offset_ + pipeline_.nextVsyncTick();
-}
-
 void
 Session::stepVsync()
 {
-    vs_assert(started_ && !done(), "stepping a finished session");
     const Tick now = nextTick();
     pipeline_.stepVsync();
     ++vsyncs_;
@@ -177,35 +212,34 @@ Session::evaluateWindow(Tick now)
 }
 
 void
-Session::finalize(Tick now)
+Session::finish(Tick end, SessionOutcome &o)
 {
-    if (finalized_) {
-        return;
-    }
-    finalized_ = true;
-    // A quarantined session that ran out of playback is still
-    // accounted as evicted: it never returned to service.
+    // leftEarly() reads the ladder before a quarantined session that
+    // ran out of playback is folded into Evicted below: it never
+    // returned to service.
+    o.left_early = leftEarly();
     if (ladder_.state() == HealthState::kQuarantined) {
-        ladder_.transitionTo(HealthState::kEvicted, now);
+        ladder_.transitionTo(HealthState::kEvicted, end);
     }
-    result_ = pipeline_.finish();
+    o.id = cfg_.id;
+    o.final_state = ladder_.state();
+    o.trace_error = trace_error_;
+    o.breaker_trips = breaker_.trips();
+    o.breaker_reprobes = breaker_.reprobes();
+    o.breaker_state = breaker_.state();
+    for (std::size_t st = 0; st < kNumHealthStates; ++st) {
+        o.dwell[st] = ladder_.dwell(static_cast<HealthState>(st), end);
+    }
+    o.group = cfg_.stats_group;
+    o.end_tick = end;
+    o.result = pipeline_.finish();
+    o.dedup = dedup_recorder_.take();
 }
 
-const PipelineResult &
-Session::result() const
-{
-    vs_assert(finalized_, "result() before finalize()");
-    return result_;
-}
-
-DedupRecord
-Session::takeDedup()
-{
-    return dedup_recorder_.take();
-}
+} // namespace
 
 double
-Session::demandMBps(const PipelineConfig &cfg)
+sessionDemandMBps(const PipelineConfig &cfg)
 {
     const VideoProfile &p = cfg.profile;
     const double frame_bytes =
@@ -215,40 +249,8 @@ Session::demandMBps(const PipelineConfig &cfg)
     return 2.0 * frame_bytes * static_cast<double>(p.fps) / 1e6;
 }
 
-RehearsedSession
-rehearseSession(const SessionConfig &cfg)
-{
-    Session s(cfg);
-    s.start(0);
-    RehearsedSession r;
-    r.immediate = s.done();
-    while (!s.done()) {
-        r.local_end = s.nextTick();
-        s.stepVsync();
-    }
-    const bool left_early = s.leftEarly();
-    s.finalize(r.local_end);
-    SessionOutcome &o = r.outcome;
-    o.id = s.id();
-    o.final_state = s.health();
-    o.trace_error = s.traceError();
-    o.breaker_trips = s.breaker().trips();
-    o.breaker_reprobes = s.breaker().reprobes();
-    o.breaker_state = s.breaker().state();
-    for (std::size_t st = 0; st < kNumHealthStates; ++st) {
-        o.dwell[st] = s.ladder().dwell(
-            static_cast<HealthState>(st), r.local_end);
-    }
-    o.left_early = left_early;
-    o.group = cfg.stats_group;
-    o.end_tick = r.local_end;
-    o.result = s.result();
-    o.dedup = s.takeDedup();
-    return r;
-}
-
 std::uint64_t
-Session::framebufferBytes(const PipelineConfig &cfg)
+sessionFramebufferBytes(const PipelineConfig &cfg)
 {
     const VideoProfile &p = cfg.profile;
     const std::uint64_t frame_bytes =
@@ -263,6 +265,28 @@ Session::framebufferBytes(const PipelineConfig &cfg)
         slots += cfg.mach.num_machs - 1;
     }
     return slots * frame_bytes;
+}
+
+RehearsedSession
+rehearseSession(const SessionConfig &cfg)
+{
+    Session s(cfg);
+    RehearsedSession r;
+    r.immediate = s.done();
+    while (!s.done()) {
+        r.local_end = s.nextTick();
+        s.stepVsync();
+    }
+    s.finish(r.local_end, r.outcome);
+    return r;
+}
+
+void
+rebaseOutcome(SessionOutcome &o, Tick start)
+{
+    o.start_offset = start;
+    o.end_tick += start;
+    o.dwell[static_cast<std::size_t>(HealthState::kHealthy)] += start;
 }
 
 } // namespace vstream

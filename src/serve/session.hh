@@ -2,7 +2,7 @@
  * @file
  * One streaming session inside the multi-session server.
  *
- * A Session owns a full, private pipeline substrate (its own
+ * A session owns a full, private pipeline substrate (its own
  * VideoPipeline with its own memory system, fault-rule set, and
  * arrival timeline) plus the health machinery that contains its
  * failures: the degradation ladder and the MACH circuit breaker.
@@ -12,11 +12,10 @@
  * interleaved with - the isolation property tests/test_serve.cc
  * pins down.
  *
- * The SessionManager drives the session one vsync at a time at
- * absolute tick start_offset + local vsync tick; every
- * HealthConfig::window_vsyncs vsyncs the session evaluates its
- * window counters (drops, underruns, DRAM abandons, MACH false
- * hits) and walks the ladder / trips the breaker.
+ * rehearseSession() runs a session to completion on its local clock;
+ * the serving drivers (SessionManager, the fleet Placer) only decide
+ * when it starts, through the shared admission core
+ * (serve/admission.hh), and rebase the outcome onto their timeline.
  */
 
 #ifndef VSTREAM_SERVE_SESSION_HH
@@ -35,7 +34,7 @@
 namespace vstream
 {
 
-/** Everything needed to run one session under the manager. */
+/** Everything needed to run one session. */
 struct SessionConfig
 {
     /** Unique id; also the label in stats and the soak report. */
@@ -95,87 +94,12 @@ struct SessionOutcome
     DedupRecord dedup;
 };
 
-/** One admitted streaming session. */
-class Session
-{
-  public:
-    explicit Session(SessionConfig cfg);
+/** Estimated DRAM-bandwidth demand of @p cfg, MB/s (decode writes +
+ * display reads at the nominal frame rate). */
+double sessionDemandMBps(const PipelineConfig &cfg);
 
-    Session(const Session &) = delete;
-    Session &operator=(const Session &) = delete;
-
-    /** Admit at absolute tick @p start_offset: allocate the
-     * substrate and validate the ingest trace (if any). */
-    void start(Tick start_offset);
-
-    /** No more vsyncs wanted (playback complete, evicted, or the
-     * viewer left per SessionConfig::leave_after). */
-    bool done() const;
-
-    /** done() because the viewer left, not because playback
-     * completed or the ladder evicted. */
-    bool leftEarly() const;
-
-    /** Absolute tick of the next vsync (valid while !done()). */
-    Tick nextTick() const;
-
-    /** Process one vsync; on a window boundary, evaluate health. */
-    void stepVsync();
-
-    /** Close the playback (early when evicted) and cache the
-     * result; idempotent. */
-    void finalize(Tick now);
-
-    const PipelineResult &result() const;
-
-    std::uint64_t id() const { return cfg_.id; }
-    HealthState health() const { return ladder_.state(); }
-    const HealthLadder &ladder() const { return ladder_; }
-    const CircuitBreaker &breaker() const { return breaker_; }
-    /** Damage found in the ingest trace (kNone when intact). */
-    TraceError traceError() const { return trace_error_; }
-    /** Move the dedup materialization log out (empty when recording
-     * was off). */
-    DedupRecord takeDedup();
-    Tick startOffset() const { return start_offset_; }
-    const SessionConfig &config() const { return cfg_; }
-
-    /** Estimated DRAM-bandwidth demand of @p cfg, MB/s (decode
-     * writes + display reads at the nominal frame rate). */
-    static double demandMBps(const PipelineConfig &cfg);
-
-    /** Estimated frame-buffer pool footprint of @p cfg, bytes. */
-    static std::uint64_t framebufferBytes(const PipelineConfig &cfg);
-
-  private:
-    void evaluateWindow(Tick now);
-
-    SessionConfig cfg_;
-    VideoPipeline pipeline_;
-    HealthLadder ladder_;
-    CircuitBreaker breaker_;
-    /** Per-session write log; private to this session's (possibly
-     * worker-thread) rehearsal. */
-    DedupRecorder dedup_recorder_;
-    /** The session's own jitter stream (breaker cooldowns). */
-    Random rng_;
-    Tick start_offset_ = 0;
-    TraceError trace_error_ = TraceError::kNone;
-
-    // window bookkeeping
-    std::uint32_t vsyncs_ = 0;
-    std::uint64_t last_drops_ = 0;
-    std::uint64_t last_underruns_ = 0;
-    std::uint64_t last_lookups_ = 0;
-    std::uint64_t last_false_hits_ = 0;
-    std::uint32_t degraded_streak_ = 0;
-    std::uint32_t clean_streak_ = 0;
-    std::uint32_t quarantined_windows_ = 0;
-
-    bool started_ = false;
-    bool finalized_ = false;
-    PipelineResult result_;
-};
+/** Estimated frame-buffer pool footprint of @p cfg, bytes. */
+std::uint64_t sessionFramebufferBytes(const PipelineConfig &cfg);
 
 /** A session run to completion detached at local tick 0. */
 struct RehearsedSession
@@ -189,18 +113,28 @@ struct RehearsedSession
 
 /**
  * Rehearse @p cfg: run the session to completion on its own private
- * substrate, detached at offset 0, and record the outcome.
+ * substrate, detached at local tick 0, and record the outcome.  This
+ * is the only place a session is stepped vsync by vsync; every window
+ * of HealthConfig::window_vsyncs vsyncs it evaluates its window
+ * counters (drops, underruns, DRAM abandons, MACH false hits) and
+ * walks the ladder / trips the breaker.
  *
  * A session's evolution is offset-invariant - the breaker cooldown
  * and ladder dwell are tick *differences*, and the pipeline runs on
- * its own local clock - so a rehearsed outcome replayed at offset T
- * is identical to a live session admitted at T (after rebasing
- * start_offset/end_tick and the construction-to-admission Healthy
- * dwell).  SessionManager::precompute and the fleet Placer both
- * lean on this to fan rehearsals across parallelMap workers while
- * keeping every aggregate byte-identical at any --jobs count.
+ * its own local clock - so the serving drivers fan rehearsals across
+ * parallelMap workers and place each outcome on the shared timeline
+ * with rebaseOutcome(), keeping every aggregate byte-identical at any
+ * --jobs count.
  */
 RehearsedSession rehearseSession(const SessionConfig &cfg);
+
+/**
+ * Place a rehearsed outcome on the shared timeline at admission tick
+ * @p start: shift start_offset/end_tick, and count the ticks before
+ * admission as Healthy dwell (the ladder clock starts at tick 0 of
+ * the shared timeline).
+ */
+void rebaseOutcome(SessionOutcome &o, Tick start);
 
 } // namespace vstream
 

@@ -1,6 +1,5 @@
 #include "serve/session_manager.hh"
 
-#include <string>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -10,199 +9,48 @@
 namespace vstream
 {
 
-void
-ServeConfig::validate() const
+SessionManager::SessionManager(ServeConfig cfg) : core_(cfg)
 {
-    if (bandwidth_budget_mbps <= 0.0) {
-        vs_fatal("serve bandwidth budget must be positive, got ",
-                 bandwidth_budget_mbps, " MB/s");
-    }
-    if (framebuffer_budget_bytes == 0) {
-        vs_fatal("serve frame-buffer budget must be positive");
-    }
-    if (max_active == 0) {
-        vs_fatal("serve max_active must be >= 1");
-    }
-}
-
-SessionManager::SessionManager(ServeConfig cfg) : cfg_(cfg)
-{
-    cfg_.validate();
-}
-
-SessionManager::~SessionManager() = default;
-
-bool
-SessionManager::fits(double bw_mbps, std::uint64_t fb_bytes) const
-{
-    return active_.size() < cfg_.max_active &&
-           bw_reserved_ + bw_mbps <= cfg_.bandwidth_budget_mbps &&
-           fb_reserved_ + fb_bytes <= cfg_.framebuffer_budget_bytes;
-}
-
-bool
-SessionManager::couldEverFit(double bw_mbps,
-                             std::uint64_t fb_bytes) const
-{
-    return bw_mbps <= cfg_.bandwidth_budget_mbps &&
-           fb_bytes <= cfg_.framebuffer_budget_bytes;
+    cfg.validate();
 }
 
 Admission
 SessionManager::submit(SessionConfig cfg)
 {
-    const double bw = Session::demandMBps(cfg.pipeline);
-    const std::uint64_t fb = Session::framebufferBytes(cfg.pipeline);
-    if (fits(bw, fb)) {
-        activate(std::move(cfg), queue_.curTick());
+    const Demand d = Demand::of(cfg.pipeline);
+    if (core_.fits(d)) {
+        activate(std::move(cfg), d);
         return Admission::kAdmitted;
     }
-    if (cfg_.queue_when_full && couldEverFit(bw, fb)) {
+    if (core_.couldEverFit(d)) {
         ++queued_;
-        waiting_.push_back(Waiting{std::move(cfg), queue_.curTick()});
-        armQueueTimer();
+        core_.enqueue(std::move(cfg), d, now_);
         return Admission::kQueued;
     }
     ++rejected_;
     return Admission::kRejected;
 }
 
-Tick
-SessionManager::queueDeadlineOf(const Waiting &w) const
-{
-    if (cfg_.queue_deadline == 0) {
-        return maxTick;
-    }
-    // Saturate: a deadline past the tick range never fires.
-    return w.enqueue > maxTick - cfg_.queue_deadline
-               ? maxTick
-               : w.enqueue + cfg_.queue_deadline;
-}
-
 void
-SessionManager::armQueueTimer()
-{
-    if (cfg_.queue_deadline == 0) {
-        return;
-    }
-    if (waiting_.empty()) {
-        if (queue_timer_ && queue_timer_->scheduled()) {
-            queue_.deschedule(queue_timer_.get());
-        }
-        return;
-    }
-    // Strict FIFO means the front has the earliest enqueue tick,
-    // hence the earliest deadline: one timer suffices.
-    const Tick dl = queueDeadlineOf(waiting_.front());
-    if (dl == maxTick) {
-        return;
-    }
-    if (queue_timer_ == nullptr) {
-        queue_timer_ = std::make_unique<LambdaEvent>(
-            "serve.queueDeadline", [this] { expireWaiting(); },
-            Event::kStatsPriority);
-    }
-    if (queue_timer_->scheduled()) {
-        if (queue_timer_->when() != dl) {
-            queue_.reschedule(queue_timer_.get(), dl);
-        }
-    } else {
-        queue_.schedule(queue_timer_.get(), dl);
-    }
-}
-
-void
-SessionManager::expireWaiting()
-{
-    const Tick now = queue_.curTick();
-    while (!waiting_.empty() &&
-           queueDeadlineOf(waiting_.front()) <= now) {
-        Waiting w = std::move(waiting_.front());
-        waiting_.pop_front();
-        ++queue_timeouts_;
-        // The session never ran: record a marker outcome (id/group
-        // and the queue span) so the caller can see who timed out.
-        SessionOutcome o;
-        o.id = w.cfg.id;
-        o.group = w.cfg.stats_group;
-        o.queue_timeout = true;
-        o.start_offset = w.enqueue;
-        o.end_tick = now;
-        outcomes_.push_back(std::move(o));
-    }
-    armQueueTimer();
-}
-
-void
-SessionManager::activate(SessionConfig cfg, Tick start_offset)
+SessionManager::activate(SessionConfig cfg, const Demand &d)
 {
     ++admitted_;
+    RehearsedSession reh;
+    if (RehearsedSession *pre = rehearsed_.find(cfg.id)) {
+        reh = std::move(*pre);
+        rehearsed_.erase(cfg.id);
+    } else {
+        reh = rehearseSession(cfg);
+    }
     Active a;
-    a.bw_mbps = Session::demandMBps(cfg.pipeline);
-    a.fb_bytes = Session::framebufferBytes(cfg.pipeline);
-    const std::uint64_t sid = cfg.id;
-    a.sid = sid;
-    a.start_offset = start_offset;
-
-    RehearsedSession *reh = rehearsed_.find(sid);
-    if (reh != nullptr) {
-        // Replay: one completion event at the rehearsed end tick
-        // stands in for the whole vsync-by-vsync walk.
-        a.replay = true;
-        a.outcome = std::move(reh->outcome);
-        const Tick local_end = reh->local_end;
-        const bool immediate = reh->immediate;
-        rehearsed_.erase(sid);
-        a.event = std::make_unique<LambdaEvent>(
-            "serve.session" + std::to_string(sid),
-            [this, sid] {
-                for (std::size_t slot = 0; slot < active_.size();
-                     ++slot) {
-                    if (active_[slot].sid == sid) {
-                        finalizeActive(slot);
-                        return;
-                    }
-                }
-                vs_panic("event fired for unknown session ", sid);
-            },
-            Event::kVsyncPriority);
-        bw_reserved_ += a.bw_mbps;
-        fb_reserved_ += a.fb_bytes;
-        if (!immediate) {
-            queue_.schedule(a.event.get(), start_offset + local_end);
-        }
-        active_.push_back(std::move(a));
-        if (immediate) {
-            finalizeActive(active_.size() - 1);
-        }
-        return;
-    }
-
-    a.session = std::make_unique<Session>(std::move(cfg));
-    a.session->start(start_offset);
-    a.event = std::make_unique<LambdaEvent>(
-        "serve.session" + std::to_string(sid),
-        [this, sid] {
-            for (std::size_t slot = 0; slot < active_.size();
-                 ++slot) {
-                if (active_[slot].sid == sid) {
-                    stepActive(slot);
-                    return;
-                }
-            }
-            vs_panic("event fired for unknown session ", sid);
-        },
-        Event::kVsyncPriority);
-    bw_reserved_ += a.bw_mbps;
-    fb_reserved_ += a.fb_bytes;
-
-    const bool runnable = !a.session->done();
-    if (runnable) {
-        queue_.schedule(a.event.get(), a.session->nextTick());
-    }
-    active_.push_back(std::move(a));
-    if (!runnable) {
-        finalizeActive(active_.size() - 1);
+    a.demand = d;
+    a.start_offset = now_;
+    a.outcome = std::move(reh.outcome);
+    core_.reserve(d);
+    if (reh.immediate) {
+        finalize(std::move(a));
+    } else {
+        core_.scheduleFinish(now_ + reh.local_end, std::move(a));
     }
 }
 
@@ -222,57 +70,10 @@ SessionManager::precompute(const std::vector<SessionConfig> &cfgs,
 }
 
 void
-SessionManager::stepActive(std::size_t slot)
+SessionManager::finalize(Active a)
 {
-    Active &a = active_[slot];
-    a.session->stepVsync();
-    if (!a.session->done()) {
-        queue_.schedule(a.event.get(), a.session->nextTick());
-        return;
-    }
-    finalizeActive(slot);
-}
-
-void
-SessionManager::finalizeActive(std::size_t slot)
-{
-    Active a = std::move(active_[slot]);
-    active_.erase(active_.begin() +
-                  static_cast<std::ptrdiff_t>(slot));
-
-    SessionOutcome o;
-    if (a.replay) {
-        // The rehearsed outcome carries everything offset-invariant;
-        // rebase the two absolute ticks onto the shared timeline.
-        o = std::move(a.outcome);
-        o.start_offset = a.start_offset;
-        o.end_tick = queue_.curTick();
-        // The ladder clock starts at construction, so a live session
-        // admitted at offset T dwells Healthy for T extra ticks
-        // before its first transition; mirror that here.
-        o.dwell[static_cast<std::size_t>(HealthState::kHealthy)] +=
-            a.start_offset;
-    } else {
-        // leftEarly() reads the pre-finalize ladder (finalize folds
-        // a quarantined leaver into Evicted).
-        o.left_early = a.session->leftEarly();
-        a.session->finalize(queue_.curTick());
-        o.id = a.session->id();
-        o.final_state = a.session->health();
-        o.trace_error = a.session->traceError();
-        o.breaker_trips = a.session->breaker().trips();
-        o.breaker_reprobes = a.session->breaker().reprobes();
-        o.breaker_state = a.session->breaker().state();
-        for (std::size_t s = 0; s < kNumHealthStates; ++s) {
-            o.dwell[s] = a.session->ladder().dwell(
-                static_cast<HealthState>(s), queue_.curTick());
-        }
-        o.start_offset = a.session->startOffset();
-        o.end_tick = queue_.curTick();
-        o.group = a.session->config().stats_group;
-        o.result = a.session->result();
-        o.dedup = a.session->takeDedup();
-    }
+    SessionOutcome o = std::move(a.outcome);
+    rebaseOutcome(o, a.start_offset);
     if (dedup_tier_ != nullptr && o.dedup.any()) {
         // Settle on the serial timeline, in completion order.  With
         // one fault domain and no failover there is no lease
@@ -290,48 +91,49 @@ SessionManager::finalizeActive(std::size_t slot)
     breaker_trips_ += o.breaker_trips;
     outcomes_.push_back(std::move(o));
 
-    bw_reserved_ -= a.bw_mbps;
-    vs_assert(fb_reserved_ >= a.fb_bytes,
-              "frame-buffer reservation underflow");
-    fb_reserved_ -= a.fb_bytes;
-    // The event may be the one firing right now; park it (and the
-    // session) until runAll() returns instead of destroying it
-    // mid-process().
-    retired_.push_back(std::move(a));
-
+    core_.release(a.demand);
     drainWaiting();
+}
+
+void
+SessionManager::expireFront()
+{
+    const auto w = core_.expireFront();
+    ++queue_timeouts_;
+    // The session never ran: record a marker outcome (id/group and
+    // the queue span) so the caller can see who timed out.
+    SessionOutcome o;
+    o.id = w.item.id;
+    o.group = w.item.stats_group;
+    o.queue_timeout = true;
+    o.start_offset = w.enqueue;
+    o.end_tick = now_;
+    outcomes_.push_back(std::move(o));
 }
 
 void
 SessionManager::drainWaiting()
 {
-    // Strict FIFO: no head-of-line skipping, so admission order is
-    // independent of session sizes and easy to reason about.
-    while (!waiting_.empty()) {
-        const SessionConfig &front = waiting_.front().cfg;
-        const double bw = Session::demandMBps(front.pipeline);
-        const std::uint64_t fb =
-            Session::framebufferBytes(front.pipeline);
-        if (!fits(bw, fb)) {
-            break;
-        }
-        SessionConfig cfg = std::move(waiting_.front().cfg);
-        waiting_.pop_front();
-        activate(std::move(cfg), queue_.curTick());
-    }
-    // The front changed; the deadline timer must follow it.
-    armQueueTimer();
+    core_.drain([this](auto &&w) {
+        activate(std::move(w.item), w.demand);
+    });
 }
 
 void
 SessionManager::runAll()
 {
-    queue_.run();
-    vs_assert(active_.empty(),
-              "event queue drained with sessions still active");
-    vs_assert(waiting_.empty(),
-              "event queue drained with sessions still queued");
-    retired_.clear();
+    Tick at = 0;
+    for (AdmissionDue due = core_.next(at);
+         due != AdmissionDue::kNone; due = core_.next(at)) {
+        now_ = at;
+        if (due == AdmissionDue::kFinish) {
+            finalize(core_.popFinish());
+        } else {
+            expireFront();
+        }
+    }
+    vs_assert(core_.waiting() == 0,
+              "timeline drained with sessions still queued");
 }
 
 void
@@ -372,16 +174,17 @@ SessionManager::regStats(StatsRegistry &r)
                       return static_cast<double>(queue_timeouts_);
                   });
     r.addCallback("serve.active", "sessions currently active", [this] {
-        return static_cast<double>(active_.size());
+        return static_cast<double>(core_.active());
     });
     // vstream:allow(stats-hygiene) live gauge: tracks reservations
     r.addCallback("serve.bandwidthReservedMBps",
                   "estimated DRAM bandwidth reserved, MB/s",
-                  [this] { return bw_reserved_; });
+                  [this] { return core_.bwReservedMBps(); });
     // vstream:allow(stats-hygiene) live gauge: tracks reservations
     r.addCallback("serve.framebufferReservedBytes",
                   "frame-buffer pool bytes reserved", [this] {
-                      return static_cast<double>(fb_reserved_);
+                      return static_cast<double>(
+                          core_.fbReservedBytes());
                   });
     if (dedup_tier_ == nullptr) {
         // Dedup off: no serve.dedup.* keys at all, so stats dumps

@@ -3,83 +3,42 @@
  * Multi-session server core.
  *
  * The SessionManager runs N concurrent streaming sessions over one
- * shared timeline: every admitted session is driven by its own event
- * on a shared EventQueue, stepping one vsync at absolute tick
- * start_offset + local vsync tick, so sessions interleave
- * deterministically (tick, priority, insertion order) regardless of
- * how many run at once.
- *
- * Admission control guards two aggregate budgets - estimated DRAM
+ * shared timeline.  Admission (serve/admission.hh, shared with the
+ * fleet Placer) guards two aggregate budgets - estimated DRAM
  * bandwidth and frame-buffer pool bytes - plus a hard cap on active
- * sessions.  Over-budget submissions are queued (admitted as
- * finishing sessions release budget) or rejected when they could
- * never fit.  Each session is its own fault domain: trace damage,
- * arrival-stall storms, DRAM abandon-budget exhaustion, and MACH
- * false-hit storms degrade, quarantine, or evict only that session
- * (serve/health.hh) while neighbours keep bit-identical results.
+ * sessions: over-budget submissions are queued (admitted as finishing
+ * sessions release budget, or expired past the queue deadline) or
+ * rejected when they could never fit.
+ *
+ * Each admitted session is rehearsed on its own private substrate
+ * (rehearseSession) and its outcome replayed at its finish tick.
+ * Each session is its own fault domain: trace damage, arrival-stall
+ * storms, DRAM abandon-budget exhaustion, and MACH false-hit storms
+ * degrade, quarantine, or evict only that session (serve/health.hh)
+ * while neighbours keep bit-identical results.
  */
 
 #ifndef VSTREAM_SERVE_SESSION_MANAGER_HH
 #define VSTREAM_SERVE_SESSION_MANAGER_HH
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "core/flat_table.hh"
+#include "serve/admission.hh"
 #include "serve/session.hh"
 #include "serve/shared_mach.hh"
-#include "sim/event_queue.hh"
 
 namespace vstream
 {
 
 class StatsRegistry;
 
-/** Aggregate budgets guarded at admission. */
-struct ServeConfig
-{
-    /** Aggregate DRAM-bandwidth budget, MB/s (estimated demand of
-     * all active sessions must stay below this). */
-    double bandwidth_budget_mbps = 2000.0;
-    /** Aggregate frame-buffer pool budget, bytes. */
-    std::uint64_t framebuffer_budget_bytes = 64ULL << 20;
-    /** Hard cap on concurrently active sessions. */
-    std::uint32_t max_active = 64;
-    /** Queue over-budget submissions instead of rejecting them
-     * (sessions that could never fit are always rejected). */
-    bool queue_when_full = true;
-    /**
-     * Admission-queue deadline in ticks (0 = wait forever, the
-     * legacy behaviour).  A session still queued this long after
-     * submission expires with a queue_timeout outcome instead of
-     * occupying the waitlist indefinitely - the bound the
-     * bounded-queue lint (tools/vstream_analyze) checks for.
-     * Shared by the fleet Placer (FleetConfig::serve).
-     */
-    Tick queue_deadline = 0;
-
-    void validate() const;
-};
-
-/** Outcome of one submit() call. */
-enum class Admission : std::uint8_t
-{
-    kAdmitted = 0,
-    kQueued,
-    kRejected,
-};
-
-// SessionOutcome lives in serve/session.hh (shared with the fleet
-// Placer, which aggregates outcomes without a SessionManager).
-
 /** Admission control + shared-timeline driver + fault domains. */
 class SessionManager
 {
   public:
     explicit SessionManager(ServeConfig cfg);
-    ~SessionManager();
 
     SessionManager(const SessionManager &) = delete;
     SessionManager &operator=(const SessionManager &) = delete;
@@ -87,8 +46,10 @@ class SessionManager
     /**
      * Submit a session.
      *
-     * Admitted sessions start at the current tick; queued ones start
-     * when enough budget frees up.
+     * Admitted sessions start at the current tick, rehearsed here
+     * unless precompute() already did; queued ones start when enough
+     * budget frees up.  A session done at start finishes, and
+     * releases its budget, before submit() returns.
      */
     Admission submit(SessionConfig cfg);
 
@@ -96,17 +57,13 @@ class SessionManager
      * Rehearse @p cfgs across up to @p jobs worker threads before
      * they are submitted (the parallel soak path).
      *
-     * Each rehearsal runs the session to completion detached at
-     * offset 0 on its own private substrate; when the session is
-     * later admitted, activate() replays the recorded outcome with
-     * one completion event instead of stepping vsync-by-vsync.  A
-     * session's evolution is offset-invariant - the breaker cooldown
-     * and ladder dwell are tick *differences*, and the pipeline runs
-     * on its own local clock - so a replayed outcome is identical to
-     * a live one, and every aggregate the soak report emits is
-     * byte-identical at any job count (the CI perf-smoke job asserts
-     * this).  Admission control is untouched: budgets, queueing and
-     * rejection still play out on the shared timeline.
+     * activate() then takes the stored rehearsal instead of
+     * rehearsing at admission.  Rehearsal is hermetic, so outcomes,
+     * counters and stats are byte-identical with or without it, at
+     * any job count (tests/test_serve.cc Rehearsal.*, and the CI
+     * soak-smoke job at --jobs 1 and 4).  Admission is untouched:
+     * budgets, queueing and rejection still play out on the shared
+     * timeline.
      */
     void precompute(const std::vector<SessionConfig> &cfgs,
                     unsigned jobs);
@@ -128,19 +85,21 @@ class SessionManager
     /** Queued sessions expired past ServeConfig::queue_deadline. */
     std::uint64_t queueTimeouts() const { return queue_timeouts_; }
     std::uint64_t breakerTrips() const { return breaker_trips_; }
-    std::size_t activeCount() const { return active_.size(); }
-    std::size_t waitingCount() const { return waiting_.size(); }
+    std::size_t activeCount() const { return core_.active(); }
+    std::size_t waitingCount() const { return core_.waiting(); }
 
     /** Estimated bandwidth currently reserved, MB/s. */
-    double bandwidthReservedMBps() const { return bw_reserved_; }
+    double bandwidthReservedMBps() const
+    {
+        return core_.bwReservedMBps();
+    }
     /** Frame-buffer bytes currently reserved. */
     std::uint64_t framebufferReservedBytes() const
     {
-        return fb_reserved_;
+        return core_.fbReservedBytes();
     }
 
-    Tick curTick() const { return queue_.curTick(); }
-    const ServeConfig &config() const { return cfg_; }
+    Tick curTick() const { return now_; }
 
     /**
      * Attach a shared MACH dedup tier (single-mode serving: the
@@ -165,55 +124,22 @@ class SessionManager
     void resetStats();
 
   private:
+    /** An admitted session until its finish. */
     struct Active
     {
-        std::unique_ptr<Session> session; // null in replay mode
-        std::unique_ptr<LambdaEvent> event;
-        double bw_mbps = 0.0;
-        std::uint64_t fb_bytes = 0;
-        std::uint64_t sid = 0;
+        Demand demand;
         Tick start_offset = 0;
-        /** Replaying a precompute() rehearsal instead of stepping a
-         * live session. */
-        bool replay = false;
-        SessionOutcome outcome; // rehearsed outcome (replay only)
+        SessionOutcome outcome; // rehearsed, not yet rebased
     };
 
-    /** One queued submission plus its deadline base. */
-    struct Waiting
-    {
-        SessionConfig cfg;
-        /** Tick it entered the queue; expires at enqueue +
-         * ServeConfig::queue_deadline. */
-        Tick enqueue = 0;
-    };
-
-    bool fits(double bw_mbps, std::uint64_t fb_bytes) const;
-    bool couldEverFit(double bw_mbps, std::uint64_t fb_bytes) const;
-    void activate(SessionConfig cfg, Tick start_offset);
-    void stepActive(std::size_t slot);
-    void finalizeActive(std::size_t slot);
+    void activate(SessionConfig cfg, const Demand &d);
+    void finalize(Active a);
+    void expireFront();
     void drainWaiting();
-    /** Deadline of @p w (maxTick when unbounded / saturated). */
-    Tick queueDeadlineOf(const Waiting &w) const;
-    /** (Re)point the deadline timer at the queue front. */
-    void armQueueTimer();
-    /** Timer callback: expire every overdue front entry. */
-    void expireWaiting();
 
-    ServeConfig cfg_;
-    EventQueue queue_;
-    std::vector<Active> active_;
-    /** Finished Active records parked until runAll() returns (an
-     * event must not destroy itself mid-process()). */
-    std::vector<Active> retired_;
-    /** FIFO admission queue; the front expires once queued past
-     * ServeConfig::queue_deadline (see expireWaiting). */
-    std::deque<Waiting> waiting_;
-    /** Single deadline timer, re-aimed at the queue front.  Stats
-     * priority: same-tick finishes (vsync priority) run first, so
-     * an admission wins the tie with the deadline. */
-    std::unique_ptr<LambdaEvent> queue_timer_;
+    AdmissionCore<SessionConfig, Active> core_;
+    /** The shared timeline's current tick. */
+    Tick now_ = 0;
     std::vector<SessionOutcome> outcomes_;
     /** Rehearsals by session id, consumed (erased) at activation.
      * Never iterated, so the unordered probe order of the flat table
@@ -221,15 +147,13 @@ class SessionManager
     FlatMap<std::uint64_t, RehearsedSession> rehearsed_;
 
     /** Optional shared dedup tier (not owned; single fault domain).
-     * Touched only from finalizeActive on the serial timeline. */
+     * Touched only from finalize on the serial timeline. */
     // vstream:shard_local
     SharedMachTier *dedup_tier_ = nullptr;
     std::uint32_t dedup_domain_ = 0;
     /** Sum of every finished session's settle outcome. */
     DedupSettle dedup_totals_;
 
-    double bw_reserved_ = 0.0;
-    std::uint64_t fb_reserved_ = 0;
     std::uint64_t admitted_ = 0;
     std::uint64_t rejected_ = 0;
     std::uint64_t queued_ = 0;

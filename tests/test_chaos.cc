@@ -60,9 +60,9 @@ chaosConfig(std::uint32_t shards, unsigned jobs)
     const SessionConfig probe = chaosSession(ArrivalEvent{});
     FleetConfig cfg;
     cfg.serve.bandwidth_budget_mbps =
-        Session::demandMBps(probe.pipeline) * 6.5;
+        sessionDemandMBps(probe.pipeline) * 6.5;
     cfg.serve.framebuffer_budget_bytes =
-        Session::framebufferBytes(probe.pipeline) * 100;
+        sessionFramebufferBytes(probe.pipeline) * 100;
     cfg.serve.max_active = 6;
     cfg.shards = shards;
     cfg.jobs = jobs;
@@ -498,9 +498,9 @@ TEST(QueueDeadline, ManagerRecordsTimeoutOutcomes)
     const SessionConfig probe = chaosSession(ArrivalEvent{});
     ServeConfig serve;
     serve.bandwidth_budget_mbps =
-        Session::demandMBps(probe.pipeline) * 1.5;
+        sessionDemandMBps(probe.pipeline) * 1.5;
     serve.framebuffer_budget_bytes =
-        Session::framebufferBytes(probe.pipeline) * 2;
+        sessionFramebufferBytes(probe.pipeline) * 2;
     serve.max_active = 1;
     serve.queue_deadline = 50 * sim_clock::ms;
     SessionManager mgr(serve);

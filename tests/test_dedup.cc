@@ -502,9 +502,9 @@ dedupFleetConfig(std::uint32_t shards, unsigned jobs)
         dedupSession(ArrivalEvent{}, library);
     FleetConfig cfg;
     cfg.serve.bandwidth_budget_mbps =
-        Session::demandMBps(probe.pipeline) * 8.5;
+        sessionDemandMBps(probe.pipeline) * 8.5;
     cfg.serve.framebuffer_budget_bytes =
-        Session::framebufferBytes(probe.pipeline) * 100;
+        sessionFramebufferBytes(probe.pipeline) * 100;
     cfg.serve.max_active = 8;
     cfg.shards = shards;
     cfg.jobs = jobs;

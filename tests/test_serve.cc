@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "serve/session_manager.hh"
 #include "sim/parallel.hh"
 #include "sim/random.hh"
+#include "sim/stats_registry.hh"
 #include "video/trace.hh"
 
 namespace vstream
@@ -198,10 +200,19 @@ TEST(Admission, RejectsWhatCouldNeverFit)
     EXPECT_EQ(mgr.admitted(), 0u);
 }
 
+TEST(AdmissionDeathTest, NanBandwidthBudgetIsRejected)
+{
+    // NaN fails every ordered compare, so a plain `<= 0` check would
+    // let it through and reject every session as a whale.
+    ServeConfig cfg;
+    cfg.bandwidth_budget_mbps = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(cfg.validate(), "bandwidth budget must be positive");
+}
+
 TEST(Admission, QueuesOverBudgetAndDrainsFifo)
 {
     const double demand =
-        Session::demandMBps(tinySession(0).pipeline);
+        sessionDemandMBps(tinySession(0).pipeline);
     ServeConfig cfg;
     // Room for exactly two concurrent sessions.
     cfg.bandwidth_budget_mbps = 2.5 * demand;
@@ -228,20 +239,6 @@ TEST(Admission, QueuesOverBudgetAndDrainsFifo)
             EXPECT_EQ(o.start_offset, 0u);
         }
     }
-}
-
-TEST(Admission, NoQueueModeRejectsInstead)
-{
-    const double demand =
-        Session::demandMBps(tinySession(0).pipeline);
-    ServeConfig cfg;
-    cfg.bandwidth_budget_mbps = 1.5 * demand;
-    cfg.queue_when_full = false;
-    SessionManager mgr(cfg);
-    EXPECT_EQ(mgr.submit(tinySession(0)), Admission::kAdmitted);
-    EXPECT_EQ(mgr.submit(tinySession(1)), Admission::kRejected);
-    mgr.runAll();
-    EXPECT_EQ(mgr.outcomes().size(), 1u);
 }
 
 TEST(Admission, MaxActiveCapQueues)
@@ -475,6 +472,167 @@ TEST(Rehearsal, PrecomputeWavesSpawnThreadsOnlyOnce)
         EXPECT_EQ(mgr.outcomes().size(), 6u);
     }
     EXPECT_EQ(ThreadPool::instance().threadsSpawned(), spawned);
+}
+
+// ---------------------------------------------------------------------
+// Rehearsing up front or at admission: the same outcomes
+// ---------------------------------------------------------------------
+
+/**
+ * Twelve sessions over three titles (so the dedup tier shares
+ * blocks), with early leavers, DRAM storms and digest storms.  Every
+ * session has its own length, so no two finish on the same tick.
+ */
+std::vector<SessionConfig>
+rehearsalMix()
+{
+    std::vector<SessionConfig> mix;
+    for (std::uint64_t id = 0; id < 12; ++id) {
+        SessionConfig s = tinySession(id);
+        s.pipeline.profile.seed = 4242 + id % 3;
+        s.pipeline.profile.frame_count =
+            36 + 5 * static_cast<std::uint32_t>(id);
+        s.dedup_record = true;
+        s.health.window_vsyncs = 8;
+        if (id % 4 == 1) {
+            s.leave_after = (230 + 40 * id) * sim_clock::ms;
+        } else if (id % 4 == 2) {
+            s.pipeline.faults.dram_retry_limit = 2;
+            s.pipeline.faults.rules.push_back(parseFaultRule(
+                FaultClass::kDramTimeout, "p=0.6,from=10ms,until=600ms"));
+            s.health.abandon_budget = 4;
+            s.health.evict_windows = 2;
+        } else if (id % 4 == 3) {
+            s.pipeline.mach.verify_on_hit = true;
+            s.pipeline.faults.rules.push_back(parseFaultRule(
+                FaultClass::kDigestCollision,
+                "p=0.25,from=100ms,until=500ms"));
+            s.breaker.min_lookups = 16;
+        }
+        s.pipeline.faults = s.pipeline.faults.forSession(id);
+        mix.push_back(std::move(s));
+    }
+    return mix;
+}
+
+void
+expectSameResult(const PipelineResult &a, const PipelineResult &b)
+{
+    EXPECT_EQ(a.video_key, b.video_key);
+    EXPECT_EQ(a.scheme, b.scheme);
+    EXPECT_EQ(a.frames, b.frames);
+    EXPECT_EQ(a.drops, b.drops);
+    EXPECT_EQ(a.span, b.span);
+    // Doubles by ==: bit-identity, not approximation.
+    EXPECT_EQ(a.energy.dc, b.energy.dc);
+    EXPECT_EQ(a.energy.mem_background, b.energy.mem_background);
+    EXPECT_EQ(a.energy.vd_processing, b.energy.vd_processing);
+    EXPECT_EQ(a.energy.sleep, b.energy.sleep);
+    EXPECT_EQ(a.energy.short_slack, b.energy.short_slack);
+    EXPECT_EQ(a.energy.mem_burst, b.energy.mem_burst);
+    EXPECT_EQ(a.energy.mem_act_pre, b.energy.mem_act_pre);
+    EXPECT_EQ(a.energy.transition, b.energy.transition);
+    EXPECT_EQ(a.energy.mach_overhead, b.energy.mach_overhead);
+    EXPECT_EQ(a.frame_records.size(), b.frame_records.size());
+    EXPECT_EQ(a.mach.lookups, b.mach.lookups);
+    EXPECT_EQ(a.mach.false_hits, b.mach.false_hits);
+    EXPECT_EQ(a.mach.bypassed_lookups, b.mach.bypassed_lookups);
+    EXPECT_EQ(a.dram_total.read_bursts, b.dram_total.read_bursts);
+    EXPECT_EQ(a.dram_total.write_bursts, b.dram_total.write_bursts);
+    EXPECT_EQ(a.dram_total.activations, b.dram_total.activations);
+    EXPECT_EQ(a.sleep_events, b.sleep_events);
+    EXPECT_EQ(a.vd_cache_miss_rate, b.vd_cache_miss_rate);
+    EXPECT_EQ(a.faults.injected, b.faults.injected);
+    EXPECT_EQ(a.faults.abandoned, b.faults.abandoned);
+    EXPECT_EQ(a.underruns, b.underruns);
+    EXPECT_EQ(a.dram_retries, b.dram_retries);
+    EXPECT_EQ(a.dram_abandoned, b.dram_abandoned);
+}
+
+void
+expectSameOutcome(const SessionOutcome &a, const SessionOutcome &b)
+{
+    SCOPED_TRACE(a.id);
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.final_state, b.final_state);
+    EXPECT_EQ(a.trace_error, b.trace_error);
+    EXPECT_EQ(a.breaker_trips, b.breaker_trips);
+    EXPECT_EQ(a.breaker_reprobes, b.breaker_reprobes);
+    EXPECT_EQ(a.breaker_state, b.breaker_state);
+    EXPECT_EQ(a.dwell, b.dwell);
+    EXPECT_EQ(a.left_early, b.left_early);
+    EXPECT_EQ(a.queue_timeout, b.queue_timeout);
+    EXPECT_EQ(a.group, b.group);
+    EXPECT_EQ(a.start_offset, b.start_offset);
+    EXPECT_EQ(a.end_tick, b.end_tick);
+    expectSameResult(a.result, b.result);
+    EXPECT_EQ(a.dedup.blocks.size(), b.dedup.blocks.size());
+    EXPECT_EQ(a.dedup.skipped_collisions, b.dedup.skipped_collisions);
+}
+
+/** Counters and dedup totals, as the stats dump prints them. */
+std::string
+statsJson(SessionManager &mgr)
+{
+    StatsRegistry reg;
+    mgr.regStats(reg);
+    std::ostringstream os;
+    reg.dumpJson(os);
+    return os.str();
+}
+
+TEST(Rehearsal, OutcomesIdenticalAtAnyJobCount)
+{
+    ServeConfig cfg;
+    cfg.max_active = 3;
+    cfg.queue_deadline = 1500 * sim_clock::ms;
+    DedupConfig dedup;
+    dedup.enabled = true;
+
+    SharedMachTier serial_tier(dedup, 1);
+    SessionManager serial(cfg);
+    serial.setDedup(&serial_tier);
+    for (SessionConfig &s : rehearsalMix()) {
+        serial.submit(std::move(s));
+    }
+    serial.runAll();
+
+    SharedMachTier fanned_tier(dedup, 1);
+    SessionManager fanned(cfg);
+    fanned.setDedup(&fanned_tier);
+    std::vector<SessionConfig> mix = rehearsalMix();
+    fanned.precompute(mix, 4);
+    for (SessionConfig &s : mix) {
+        fanned.submit(std::move(s));
+    }
+    fanned.runAll();
+
+    ASSERT_EQ(serial.outcomes().size(), fanned.outcomes().size());
+    for (std::size_t i = 0; i < serial.outcomes().size(); ++i) {
+        expectSameOutcome(serial.outcomes()[i], fanned.outcomes()[i]);
+    }
+    const DedupSettle &a = serial.dedupTotals();
+    const DedupSettle &b = fanned.dedupTotals();
+    EXPECT_EQ(a.shared_hits, b.shared_hits);
+    EXPECT_EQ(a.self_hits, b.self_hits);
+    EXPECT_EQ(a.bytes_elided, b.bytes_elided);
+    EXPECT_EQ(a.unique_published, b.unique_published);
+    EXPECT_EQ(a.false_hits, b.false_hits);
+    EXPECT_EQ(a.blocked_writes, b.blocked_writes);
+    EXPECT_EQ(serial.admitted(), fanned.admitted());
+    EXPECT_EQ(serial.rejected(), fanned.rejected());
+    EXPECT_EQ(serial.queuedTotal(), fanned.queuedTotal());
+    EXPECT_EQ(serial.evicted(), fanned.evicted());
+    EXPECT_EQ(serial.queueTimeouts(), fanned.queueTimeouts());
+    EXPECT_EQ(serial.breakerTrips(), fanned.breakerTrips());
+    EXPECT_EQ(serial.curTick(), fanned.curTick());
+    EXPECT_EQ(statsJson(serial), statsJson(fanned));
+
+    // The mix reaches every path it is meant to cover.
+    EXPECT_GT(serial.queueTimeouts(), 0u);
+    EXPECT_GT(serial.evicted(), 0u);
+    EXPECT_GT(serial.breakerTrips(), 0u);
+    EXPECT_GT(a.shared_hits, 0u);
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include "serve/arrivals.hh"
 #include "serve/fleet_report.hh"
 #include "serve/placer.hh"
+#include "serve/session_manager.hh"
 #include "serve/shard.hh"
 
 namespace vstream
@@ -59,9 +60,9 @@ fleetConfig(std::uint32_t shards, unsigned jobs,
     const SessionConfig probe = fleetSession(ArrivalEvent{});
     FleetConfig cfg;
     cfg.serve.bandwidth_budget_mbps =
-        Session::demandMBps(probe.pipeline) * 6.5;
+        sessionDemandMBps(probe.pipeline) * 6.5;
     cfg.serve.framebuffer_budget_bytes =
-        Session::framebufferBytes(probe.pipeline) * 100;
+        sessionFramebufferBytes(probe.pipeline) * 100;
     cfg.serve.max_active = 6;
     cfg.shards = shards;
     cfg.jobs = jobs;
@@ -397,6 +398,88 @@ TEST(Placer, TieBreakRoutesIdleFleetToLowestShard)
     EXPECT_EQ(r.per_shard_absorbed[3], 0u);
     EXPECT_EQ(r.queued, 0u);
     EXPECT_EQ(r.peak_active, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Placer vs SessionManager: one admission policy
+// ---------------------------------------------------------------------
+
+/** Mixed sizes and lengths keyed by the arrival: mix 99 is a whale,
+ * mixes 0..2 pick a frame size, the id picks the length. */
+SessionConfig
+probeSession(const ArrivalEvent &a)
+{
+    static const std::uint32_t kWidths[] = {96, 128, 64};
+    static const std::uint32_t kHeights[] = {48, 64, 32};
+    SessionConfig s;
+    s.pipeline.profile =
+        a.mix == 99 ? tinyProfile(7, 1920, 1080)
+                    : tinyProfile(4242 + a.id, kWidths[a.mix % 3],
+                                  kHeights[a.mix % 3]);
+    if (a.mix != 99) {
+        s.pipeline.profile.frame_count =
+            24 + 24 * static_cast<std::uint32_t>(a.id % 3);
+    }
+    s.pipeline.scheme = SchemeConfig::make(Scheme::kGab);
+    return s;
+}
+
+/** 40 tick-0 arrivals: every 9th a whale, every 4th leaving early,
+ * and one leaving before its first vsync (done at start). */
+std::vector<ArrivalEvent>
+probeArrivals()
+{
+    std::vector<ArrivalEvent> arrivals;
+    for (std::uint64_t i = 0; i < 40; ++i) {
+        ArrivalEvent e;
+        e.id = i;
+        e.mix = i % 9 == 8 ? 99 : static_cast<std::uint32_t>(i % 3);
+        if (i % 4 == 1) {
+            e.leave_after = (100 + 37 * i) * sim_clock::ms;
+        }
+        if (i == 6) {
+            e.leave_after = 1;
+        }
+        arrivals.push_back(e);
+    }
+    return arrivals;
+}
+
+TEST(Placer, OneShardAdmitsExactlyLikeSessionManager)
+{
+    for (const Tick deadline : {Tick{0}, 300 * sim_clock::ms}) {
+        FleetConfig cfg = fleetConfig(1, 1);
+        cfg.serve.queue_deadline = deadline;
+        const std::vector<ArrivalEvent> arrivals = probeArrivals();
+
+        Placer placer(cfg, probeSession);
+        placer.run(arrivals);
+
+        SessionManager mgr(cfg.serve);
+        for (const ArrivalEvent &a : arrivals) {
+            SessionConfig s = probeSession(a);
+            s.id = a.id;
+            s.leave_after = a.leave_after;
+            mgr.submit(std::move(s));
+        }
+        mgr.runAll();
+
+        SCOPED_TRACE(deadline);
+        EXPECT_EQ(mgr.admitted(), placer.admitted());
+        EXPECT_EQ(mgr.queuedTotal(), placer.queuedTotal());
+        EXPECT_EQ(mgr.rejected(), placer.rejected());
+        EXPECT_EQ(mgr.queueTimeouts(),
+                  placer.recovery().queue_timeouts);
+        EXPECT_EQ(mgr.curTick(), placer.endTick());
+        // The probe exercises every branch it claims to.
+        EXPECT_EQ(mgr.rejected(), 4u);
+        EXPECT_GT(mgr.queuedTotal(), 0u);
+        if (deadline > 0) {
+            EXPECT_GT(mgr.queueTimeouts(), 0u);
+        } else {
+            EXPECT_EQ(mgr.queueTimeouts(), 0u);
+        }
+    }
 }
 
 } // namespace
