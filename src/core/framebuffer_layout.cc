@@ -42,6 +42,7 @@ FrameLayout::reinit(std::uint64_t frame_index, LayoutKind kind,
     data_bytes_ = 0;
     meta_bytes_ = 0;
     source_checksum_ = 0;
+    undetected_collisions_ = 0;
     mach_dump_.clear();
 }
 

@@ -127,6 +127,15 @@ class FrameLayout
     std::uint32_t sourceChecksum() const { return source_checksum_; }
     void setSourceChecksum(std::uint32_t c) { source_checksum_ = c; }
 
+    /** MACH hits on a stored block that differs from the written one
+     * (undetected digest collisions): the only legitimate cause of a
+     * scan-out checksum mismatch for this frame. */
+    std::uint32_t undetectedCollisions() const
+    {
+        return undetected_collisions_;
+    }
+    void noteUndetectedCollision() { ++undetected_collisions_; }
+
     /** Count of records with the given storage class. */
     std::uint64_t countStorage(MabStorage s) const;
 
@@ -162,6 +171,7 @@ class FrameLayout
     std::uint64_t data_bytes_ = 0;
     std::uint64_t meta_bytes_ = 0;
     std::uint32_t source_checksum_ = 0;
+    std::uint32_t undetected_collisions_ = 0;
     std::vector<std::pair<std::uint32_t, Addr>> mach_dump_;
 };
 

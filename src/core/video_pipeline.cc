@@ -689,6 +689,9 @@ VideoPipeline::stepVsync()
                 shown != static_cast<std::int64_t>(v));
             if (cfg_.verify_display && !scan.verified) {
                 p.result.all_verified = false;
+                if (scan.unexplained) {
+                    ++p.result.unexplained_mismatches;
+                }
             }
             if (p.trace != nullptr) {
                 p.trace->complete(

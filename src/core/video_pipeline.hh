@@ -88,6 +88,9 @@ struct PipelineResult
     std::uint64_t mach_buffer_misses = 0;
     double vd_cache_miss_rate = 0.0;
     bool all_verified = true;
+    /** Scan-outs whose checksum mismatched although the shown frame
+     * had no undetected collision; zero in every correct run. */
+    std::uint64_t unexplained_mismatches = 0;
 
     // --- robustness (all zero in a pristine run) ----------------------
     /** Injection totals across every fault class. */

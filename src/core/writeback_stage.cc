@@ -220,6 +220,9 @@ MachWriteback::writeMab(const Macroblock &mab, std::uint32_t idx, Tick now)
         } else {
             ++totals_.intra_matches;
         }
+        if (hit.collision_undetected) {
+            layout_->noteUndetectedCollision();
+        }
         last_tick_ = now;
         return;
     }

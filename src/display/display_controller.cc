@@ -260,6 +260,10 @@ DisplayController::scanOut(const FrameLayout &layout, Tick now,
     stats.finish = t;
     const std::uint32_t shown_sum = FrameReconstructor::checksum(shown);
     stats.verified = shown_sum == layout.sourceChecksum();
+    // Attributed per frame: another frame's collision never excuses
+    // this one's mismatch (Sec. 6.3).
+    stats.unexplained =
+        !stats.verified && layout.undetectedCollisions() == 0;
     on_screen_checksum_ = layout.sourceChecksum();
     totals_.pixel_digest =
         mixHash(totals_.pixel_digest ^ shown_sum);

@@ -50,6 +50,9 @@ struct ScanStats
     std::uint64_t fragmented_fetches = 0;
     /** Frame checksum matched the decode-time checksum. */
     bool verified = false;
+    /** Checksum mismatched although the frame recorded no undetected
+     * digest collision at writeback: corruption nothing explains. */
+    bool unexplained = false;
     /** Scan skipped entirely (transaction elimination). */
     bool eliminated = false;
 };

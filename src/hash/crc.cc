@@ -1,7 +1,6 @@
 #include "hash/crc.hh"
 
 #include <array>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -422,39 +421,12 @@ kernelFn(CrcKernel k)
     return crc32Reference;
 }
 
-/**
- * Pick the dispatch target once, pre-main: the fastest available
- * kernel unless VSTREAM_CRC_IMPL forces one.  All kernels are
- * digest-identical, so the choice never affects simulation output.
- */
-// All kernels produce identical digests (test_crc), so the env read
-// can select an implementation but never perturb simulation output.
-// vstream:allow(determinism-source) digest-equivalent dispatch
-CrcKernel
-resolveCrc32Kernel()
-{
-    const CrcKernel best = crc32HardwareAvailable()
-                               ? CrcKernel::kHardware
-                               : CrcKernel::kSlice8;
-    // Resolved once, pre-main, before any thread exists.
-    const char *force =
-        std::getenv("VSTREAM_CRC_IMPL"); // NOLINT(concurrency-mt-unsafe)
-    if (force == nullptr) {
-        return best;
-    }
-    if (std::strcmp(force, "reference") == 0) {
-        return CrcKernel::kReference;
-    }
-    if (std::strcmp(force, "slice8") == 0) {
-        return CrcKernel::kSlice8;
-    }
-    if (std::strcmp(force, "hw") == 0 && crc32HardwareAvailable()) {
-        return CrcKernel::kHardware;
-    }
-    return best;
-}
-
-const CrcKernel kActiveKernel = resolveCrc32Kernel();
+// Chosen once, pre-main, by CPUID: PCLMUL is not part of every
+// x86-64 CPU.  All kernels are digest-identical (test_hash), so the
+// choice never affects simulation output.
+const CrcKernel kActiveKernel = crc32HardwareAvailable()
+                                    ? CrcKernel::kHardware
+                                    : CrcKernel::kSlice8;
 const Crc32Fn kActiveFn = kernelFn(kActiveKernel);
 
 // --- CRC16 kernels --------------------------------------------------
@@ -632,9 +604,6 @@ crc32Batch(const std::uint8_t *const *blocks, std::size_t block_len,
            std::size_t count, std::uint32_t *out)
 {
     std::size_t i = 0;
-    // Honour a forced reference kernel (VSTREAM_CRC_IMPL) so the
-    // batch path measures what the override asked for; the digests
-    // are identical either way.
     if (kActiveKernel == CrcKernel::kHardware &&
         crc32BatchClmul(blocks, block_len, count, out)) {
         return;
@@ -643,7 +612,7 @@ crc32Batch(const std::uint8_t *const *blocks, std::size_t block_len,
     // the per-block tail loop below routes them through it.
     const bool hw_long =
         kActiveKernel == CrcKernel::kHardware && block_len >= 64;
-    if (kActiveKernel != CrcKernel::kReference && !hw_long) {
+    if (!hw_long) {
         for (; i + 4 <= count; i += 4) {
             std::uint32_t c[4] = {0xffffffffu, 0xffffffffu,
                                   0xffffffffu, 0xffffffffu};

@@ -7,9 +7,10 @@
  * provides the auxiliary 16-bit field of the CO-MACH collision
  * detector (Sec. 6.3 of the paper).
  *
- * Both digests are the hot inner loop of MachWriteback::writeMab, so
- * update() dispatches at startup to the fastest digest-stable kernel
- * the host offers:
+ * Both digests are the hot inner loop of MachWriteback::writeMab.
+ * CRC32 update() dispatches at startup, by CPUID, to the hardware
+ * kernel when the host has it and to slicing-by-8 otherwise; CRC16
+ * always runs slicing-by-2.  The kernels:
  *
  *   kReference  byte-at-a-time table walk (the original code; kept
  *               as the oracle the equivalence tests compare against)
@@ -24,7 +25,6 @@
  * _mm_crc32 instruction family implements CRC-32C (polynomial
  * 0x1EDC6F41), NOT IEEE, and cannot reproduce the repo's digests;
  * the x86 hardware path therefore folds with PCLMULQDQ instead.
- * VSTREAM_CRC_IMPL=reference|slice8|hw forces a kernel (tests).
  */
 
 #ifndef VSTREAM_HASH_CRC_HH

@@ -128,52 +128,6 @@ SampleSeries::sorted() const
     return copy;
 }
 
-Histogram::Histogram(std::string name, double lo, double hi,
-                     std::size_t buckets, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc)), lo_(lo), hi_(hi),
-      width_((hi - lo) / static_cast<double>(buckets)),
-      buckets_(buckets, 0)
-{
-    vs_assert(hi > lo && buckets > 0, "bad histogram bounds");
-}
-
-void
-Histogram::sample(double v)
-{
-    ++count_;
-    if (v < lo_) {
-        ++underflow_;
-        return;
-    }
-    if (v >= hi_) {
-        ++overflow_;
-        return;
-    }
-    const auto idx = static_cast<std::size_t>((v - lo_) / width_);
-    ++buckets_[std::min(idx, buckets_.size() - 1)];
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = 0;
-    overflow_ = 0;
-    count_ = 0;
-}
-
-double
-Histogram::bucketLow(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Histogram::bucketHigh(std::size_t i) const
-{
-    return bucketLow(i) + width_;
-}
-
 void
 printStat(std::ostream &os, const std::string &name, double value,
           const std::string &desc)

@@ -115,42 +115,6 @@ class SampleSeries
     std::vector<double> samples_;
 };
 
-/** Fixed-width bucket histogram over [lo, hi). */
-class Histogram
-{
-  public:
-    Histogram(std::string name, double lo, double hi, std::size_t buckets,
-              std::string desc = "");
-
-    void sample(double v);
-    void reset();
-
-    std::uint64_t bucketCount(std::size_t i) const { return buckets_.at(i); }
-    std::size_t buckets() const { return buckets_.size(); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t count() const { return count_; }
-    double bucketLow(std::size_t i) const;
-    double bucketHigh(std::size_t i) const;
-
-    double low() const { return lo_; }
-    double high() const { return hi_; }
-
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
-  private:
-    std::string name_;
-    std::string desc_;
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t count_ = 0;
-};
-
 /** Print "name value  # desc" in fixed columns. */
 void printStat(std::ostream &os, const std::string &name, double value,
                const std::string &desc = "");

@@ -46,8 +46,6 @@ StatsRegistry::kindName(Kind k)
         return "distribution";
       case Kind::kSeries:
         return "series";
-      case Kind::kHistogram:
-        return "histogram";
     }
     return "unknown";
 }
@@ -110,14 +108,6 @@ StatsRegistry::add(const std::string &name, stats::SampleSeries &s)
 }
 
 void
-StatsRegistry::add(const std::string &name, stats::Histogram &h)
-{
-    Entry &e = insert(name, Kind::kHistogram);
-    e.histogram = &h;
-    e.desc = h.desc();
-}
-
-void
 StatsRegistry::addCallback(const std::string &name, std::string desc,
                            std::function<double()> fn)
 {
@@ -159,8 +149,6 @@ StatsRegistry::value(const std::string &name) const
         return e.dist->mean();
       case Kind::kSeries:
         return e.series->mean();
-      case Kind::kHistogram:
-        return static_cast<double>(e.histogram->count());
     }
     return 0.0;
 }
@@ -196,14 +184,6 @@ StatsRegistry::fields(const Entry &e)
         out.emplace_back("p99", e.series->percentile(0.99));
         out.emplace_back("min", e.series->percentile(0.0));
         out.emplace_back("max", e.series->percentile(1.0));
-        break;
-      case Kind::kHistogram:
-        out.emplace_back("count",
-                         static_cast<double>(e.histogram->count()));
-        out.emplace_back("underflow",
-                         static_cast<double>(e.histogram->underflow()));
-        out.emplace_back("overflow",
-                         static_cast<double>(e.histogram->overflow()));
         break;
     }
     return out;
@@ -251,17 +231,6 @@ StatsRegistry::dumpJson(std::ostream &os) const
         for (const auto &[field, v] : fields(e)) {
             w.kv(field, v);
         }
-        if (e.kind == Kind::kHistogram) {
-            const stats::Histogram &h = *e.histogram;
-            w.kv("lo", h.low());
-            w.kv("hi", h.high());
-            w.key("buckets");
-            w.beginArray();
-            for (std::size_t i = 0; i < h.buckets(); ++i) {
-                w.value(h.bucketCount(i));
-            }
-            w.endArray();
-        }
         w.endObject();
     }
     w.endObject();
@@ -296,9 +265,6 @@ StatsRegistry::resetAll()
             break;
           case Kind::kSeries:
             e.series->reset();
-            break;
-          case Kind::kHistogram:
-            e.histogram->reset();
             break;
         }
     }

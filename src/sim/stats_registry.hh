@@ -3,13 +3,13 @@
  * Hierarchical statistics registry.
  *
  * Every stat-bearing component registers its Scalar / Distribution /
- * SampleSeries / Histogram stats (or a read-only callback over a raw
- * counter) under a hierarchical dotted name such as
- * "vd.cache.missRate" or "mem.dram.vd.activations".  The registry is
+ * SampleSeries stats (or a read-only callback over a raw counter)
+ * under a hierarchical dotted name such as "vd.cache.missRate" or
+ * "mem.dram.vd.activations".  The registry is
  * then the single source of truth for reporting: the text, JSON and
  * CSV exporters all walk the same entry list, so a stat registered
  * once shows up in every output format, and a stat that is *not*
- * registered cannot be printed at all (tools/vstream_lint.py's
+ * registered cannot be printed at all (tools/vstream_analyze's
  * registry-stats rule enforces this by banning direct printStat
  * calls outside src/sim).
  *
@@ -59,7 +59,6 @@ class StatsRegistry
     void add(const std::string &name, stats::Scalar &s);
     void add(const std::string &name, stats::Distribution &d);
     void add(const std::string &name, stats::SampleSeries &s);
-    void add(const std::string &name, stats::Histogram &h);
 
     /**
      * Register a read-only scalar over an existing raw counter.
@@ -104,7 +103,6 @@ class StatsRegistry
         kCallback,
         kDistribution,
         kSeries,
-        kHistogram,
     };
 
     struct Entry
@@ -115,7 +113,6 @@ class StatsRegistry
         stats::Scalar *scalar = nullptr;
         stats::Distribution *dist = nullptr;
         stats::SampleSeries *series = nullptr;
-        stats::Histogram *histogram = nullptr;
         std::function<double()> callback;
     };
 

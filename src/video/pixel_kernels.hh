@@ -1,29 +1,23 @@
 /**
  * @file
- * Runtime-dispatched pixel kernels for the per-mab hot loops.
- *
- * Two families, both following the CRC dispatch pattern of
- * hash/crc.hh (registry of digest-stable kernels, resolved once
- * pre-main, forceable through a VSTREAM_*_IMPL env variable, and
- * byte-identical output no matter which kernel runs):
+ * Pixel kernels for the per-mab hot loops, one fast path each.
  *
  *  - **Gradient transform** (`gradientSub` / `gradientAdd`): the
  *    wrap-around per-byte subtract/add of a base pixel whose channel
- *    cycles r,g,b (Macroblock::gradientInto / fromGradient).  The
- *    SIMD kernels exploit lcm(16, 3) = 48: three rotated 16-byte base
- *    vectors cover every phase of the 3-byte pattern, so SSE2
- *    processes 16 pixels (48 bytes) per iteration and AVX2 32 pixels
- *    (96 bytes).  Byte subtraction is exact mod-256 arithmetic in
- *    both scalar and vector form, so the kernels are identical by
- *    construction.  VSTREAM_GRADIENT_IMPL=scalar|sse2|avx2.
+ *    cycles r,g,b (Macroblock::gradientInto / fromGradient).  On
+ *    x86-64 (where SSE2 is baseline) the kernel exploits lcm(16, 3) =
+ *    48: three rotated 16-byte base vectors cover every phase of the
+ *    3-byte pattern, so it processes 16 pixels (48 bytes) per
+ *    iteration.  Other targets, and the ragged tail, run the scalar
+ *    loop.  Byte subtraction is exact mod-256 arithmetic in both
+ *    forms, so the output does not depend on the target.
  *
  *  - **Similarity compare** (`blockEqual`): the block-equality probe
  *    behind MACH verify-on-hit, the collider forge check and
- *    Macroblock::operator==.  Variants: byte-at-a-time scalar, packed
- *    uint64 loads, and 16-byte SSE2 compare+movemask.  A boolean
- *    cannot drift, so equivalence is trivial; the kernels exist for
- *    the verify-on-hit path where every MACH hit pays a full-block
- *    compare.  VSTREAM_SIMILARITY_IMPL=scalar|packed64|simd.
+ *    Macroblock::operator==.  It is std::memcmp, which beats
+ *    hand-written packed-word and SSE2 loops at every mab size.
+ *
+ * tests/test_pixel_kernels.cc pins both against plain byte loops.
  */
 
 #ifndef VSTREAM_VIDEO_PIXEL_KERNELS_HH
@@ -31,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "video/pixel.hh"
@@ -38,26 +33,11 @@
 namespace vstream
 {
 
-/** One gradient-transform implementation; see file comment. */
-enum class GradientKernel : std::uint8_t
-{
-    kScalar = 0,
-    kSse2,
-    kAvx2,
-};
-
-/** Human-readable kernel name ("scalar", "sse2", "avx2"). */
-const char *gradientKernelName(GradientKernel k);
-
-/** Gradient kernels usable on this host, scalar first. */
-std::vector<GradientKernel> availableGradientKernels();
-
-/** The kernel gradientSub/gradientAdd dispatch to at startup. */
-GradientKernel activeGradientKernel();
-
 /**
- * dst[i] = src[i] - base-channel(i mod 3), mod 256, for @p len bytes
- * (the mab -> gab transform).  Runs the startup-selected kernel.
+ * dst[i] = src[i] - base-channel(i mod 3), mod 256, for the
+ * floor(@p len / 3) whole pixels of @p len bytes (the mab -> gab
+ * transform).  A ragged 1-2 byte tail is left untouched in @p dst;
+ * @p dst may alias @p src exactly.
  */
 void gradientSub(std::uint8_t *dst, const std::uint8_t *src,
                  std::size_t len, const Pixel &base);
@@ -66,42 +46,24 @@ void gradientSub(std::uint8_t *dst, const std::uint8_t *src,
 void gradientAdd(std::uint8_t *dst, const std::uint8_t *src,
                  std::size_t len, const Pixel &base);
 
-/** Explicit-kernel variants (test/bench hooks). */
-void gradientSubWith(GradientKernel k, std::uint8_t *dst,
-                     const std::uint8_t *src, std::size_t len,
-                     const Pixel &base);
-void gradientAddWith(GradientKernel k, std::uint8_t *dst,
-                     const std::uint8_t *src, std::size_t len,
-                     const Pixel &base);
-
-/** One block-equality implementation; see file comment. */
-enum class SimilarityKernel : std::uint8_t
-{
-    kScalar = 0,
-    kPacked64,
-    kSimd,
-};
-
-/** Human-readable kernel name ("scalar", "packed64", "simd"). */
-const char *similarityKernelName(SimilarityKernel k);
-
-/** Similarity kernels usable on this host, scalar first. */
-std::vector<SimilarityKernel> availableSimilarityKernels();
-
-/** The kernel blockEqual dispatches to at startup. */
-SimilarityKernel activeSimilarityKernel();
-
 /** True when the @p len bytes at @p a and @p b are identical. */
-bool blockEqual(const std::uint8_t *a, const std::uint8_t *b,
-                std::size_t len);
-
-/** Explicit-kernel variant (test/bench hook). */
-bool blockEqualWith(SimilarityKernel k, const std::uint8_t *a,
-                    const std::uint8_t *b, std::size_t len);
+// vstream:hot
+inline bool
+blockEqual(const std::uint8_t *a, const std::uint8_t *b,
+           std::size_t len)
+{
+    // memcmp's pointers must be valid even for len 0.
+    return len == 0 || std::memcmp(a, b, len) == 0;
+}
 
 /** Vector convenience: sizes then contents. */
-bool blockEqual(const std::vector<std::uint8_t> &a,
-                const std::vector<std::uint8_t> &b);
+// vstream:hot
+inline bool
+blockEqual(const std::vector<std::uint8_t> &a,
+           const std::vector<std::uint8_t> &b)
+{
+    return a.size() == b.size() && blockEqual(a.data(), b.data(), a.size());
+}
 
 } // namespace vstream
 

@@ -16,6 +16,7 @@
 #include "display/frame_reconstructor.hh"
 #include "display/mach_buffer.hh"
 #include "sim/event_queue.hh"
+#include "sim/fault_injector.hh"
 #include "sim/random.hh"
 
 namespace vstream
@@ -318,6 +319,55 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Bool(),
                        ::testing::Values(LayoutKind::kPointer,
                                          LayoutKind::kPointerDigest)));
+
+TEST(DisplayController, CorruptFrameWithoutItsOwnCollisionIsUnexplained)
+{
+    // Frame 0 takes injected digest collisions, so its mismatch is
+    // explained.  Frame 1 has no collision but one of its stored
+    // blocks is overwritten behind the decoder's back: the earlier
+    // frame's collisions must not excuse that corruption.
+    DisplayRig rig(8, true, false);
+    DisplayController dc("dc", &rig.queue, rig.mem, rig.fbm, rig.dcfg);
+    FaultConfig fcfg;
+    FaultRule rule;
+    rule.cls = FaultClass::kDigestCollision;
+    rule.probability = 1.0;
+    rule.until = 1000; // frame 0 only
+    fcfg.rules.push_back(rule);
+    FaultInjector faults("faults", &rig.queue, fcfg);
+    MachConfig mcfg;
+    MachArray machs(mcfg);
+    machs.setFaultInjector(&faults);
+    MachWriteback wb(rig.mem, rig.fbm, machs, LayoutKind::kPointer);
+
+    Random rng(15);
+    std::vector<FrameLayout> layouts(2);
+    for (std::uint32_t fi = 0; fi < 2; ++fi) {
+        std::vector<Macroblock> mabs;
+        for (int i = 0; i < 8; ++i) {
+            mabs.push_back(randomMab(rng));
+        }
+        const Frame f = makeFrame(mabs, fi);
+        const Tick now = fi * 1000;
+        wb.beginFrame(f, rig.fbm.acquire(fi), now, layouts[fi]);
+        for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
+            wb.writeMab(f.mab(i), i, now);
+        }
+        wb.finishFrame(now);
+    }
+    ASSERT_GT(layouts[0].undetectedCollisions(), 0u);
+    ASSERT_EQ(layouts[1].undetectedCollisions(), 0u);
+    ASSERT_EQ(layouts[1].record(3).storage, MabStorage::kUnique);
+    rig.fbm.storeBlock(layouts[1].record(3).data_addr,
+                       randomMab(rng).bytes());
+
+    const ScanStats collided = dc.scanOut(layouts[0], 0);
+    EXPECT_FALSE(collided.verified);
+    EXPECT_FALSE(collided.unexplained);
+    const ScanStats corrupt = dc.scanOut(layouts[1], 1000);
+    EXPECT_FALSE(corrupt.verified);
+    EXPECT_TRUE(corrupt.unexplained);
+}
 
 TEST(DisplayController, DisplayCacheCutsRepeatFetches)
 {

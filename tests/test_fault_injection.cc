@@ -412,6 +412,8 @@ TEST(FaultPipeline, WithoutVerifyOnHitCollisionsCorrupt)
 
     EXPECT_GT(r.mach.collisions_undetected, 0u);
     EXPECT_FALSE(r.all_verified);
+    // Every corrupt frame is one that recorded its own collision.
+    EXPECT_EQ(r.unexplained_mismatches, 0u);
     EXPECT_EQ(r.drops, 0u); // corruption degrades, never crashes
 }
 

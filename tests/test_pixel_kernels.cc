@@ -1,11 +1,10 @@
 /**
  * @file
- * Kernel-equivalence tests for the runtime-dispatched pixel kernels
- * (video/pixel_kernels.hh) and the batched digest paths
- * (hash/hasher.hh).  Every SIMD variant must produce bytes identical
- * to the scalar reference at every size, alignment and tail shape -
- * the digest-stability contract that lets VSTREAM_*_IMPL switch
- * kernels without perturbing simulation output.
+ * Equivalence tests for the pixel kernels (video/pixel_kernels.hh)
+ * and the batched digest paths (hash/hasher.hh).  The fast gradient
+ * and similarity paths must agree with the plain byte-loop oracles
+ * below at every size, alignment and tail shape, so the compiled-in
+ * path can never perturb simulation output.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "hash/hasher.hh"
@@ -41,46 +39,47 @@ patternBytes(std::size_t len, std::uint64_t seed)
 }
 
 /**
- * The mod-256 r,g,b-cycling reference every kernel is pinned to:
- * exactly floor(len / 3) whole pixels are transformed and trailing
- * ragged bytes are left untouched in dst (the documented contract;
- * sim lengths are always a multiple of 3).
+ * The mod-256 r,g,b-cycling reference oracle the fast gradient path
+ * is pinned to: exactly floor(len / 3) whole pixels are transformed
+ * and trailing ragged bytes are left untouched in dst (the documented
+ * contract; sim lengths are always a multiple of 3).
  */
 void
-referenceSub(std::uint8_t *dst, const std::uint8_t *src,
-             std::size_t len, const Pixel &base)
+referenceGradient(std::uint8_t *dst, const std::uint8_t *src,
+                  std::size_t len, const Pixel &base, bool add)
 {
+    const int sign = add ? 1 : -1;
     for (std::size_t i = 0; i + 3 <= len; i += 3) {
-        dst[i] = static_cast<std::uint8_t>(src[i] - base.r);
-        dst[i + 1] = static_cast<std::uint8_t>(src[i + 1] - base.g);
-        dst[i + 2] = static_cast<std::uint8_t>(src[i + 2] - base.b);
+        dst[i] = static_cast<std::uint8_t>(src[i] + sign * base.r);
+        dst[i + 1] = static_cast<std::uint8_t>(src[i + 1] + sign * base.g);
+        dst[i + 2] = static_cast<std::uint8_t>(src[i + 2] + sign * base.b);
     }
 }
 
-// Sizes exercise empty input, sub-vector tails, the SSE2 48-byte and
-// AVX2 96-byte strides exactly, one-off tails around both strides,
+/** The byte-at-a-time equality oracle blockEqual is pinned to. */
+bool
+referenceEqual(const std::uint8_t *a, const std::uint8_t *b,
+               std::size_t len)
+{
+    for (std::size_t i = 0; i < len; ++i) {
+        if (a[i] != b[i]) {
+            return false;
+        }
+    }
+    return true;
+}
+
+// Sizes exercise empty input, sub-vector tails, the 48-byte vector
+// stride exactly, one-off tails around it and its multiples,
 // non-multiple-of-3 lengths, and full 16x16x3 macroblocks.
 const std::size_t kSizes[] = {0,  1,  2,  3,  15,  16,  17,  47,
                               48, 49, 95, 96, 97,  100, 192, 300,
                               767, 768, 769, 3072};
 
-TEST(GradientKernels, RegistryListsScalarFirstAndActiveIsAvailable)
-{
-    const auto kernels = availableGradientKernels();
-    ASSERT_FALSE(kernels.empty());
-    EXPECT_EQ(kernels.front(), GradientKernel::kScalar);
-    bool active_listed = false;
-    for (GradientKernel k : kernels) {
-        EXPECT_NE(std::string(gradientKernelName(k)), "");
-        active_listed |= k == activeGradientKernel();
-    }
-    EXPECT_TRUE(active_listed);
-}
-
-TEST(GradientKernels, SubMatchesScalarReferenceAtEverySizeAndOffset)
+TEST(Gradient, MatchReferenceAtEverySizeAndOffset)
 {
     const Pixel base{211, 3, 97};
-    for (GradientKernel k : availableGradientKernels()) {
+    for (bool add : {false, true}) {
         for (std::size_t len : kSizes) {
             // Offsets walk the buffers off 16-byte alignment so the
             // unaligned-load path is exercised too.
@@ -91,118 +90,101 @@ TEST(GradientKernels, SubMatchesScalarReferenceAtEverySizeAndOffset)
                 // 0xEE sentinels pin the untouched-ragged-tail
                 // contract as well as the transformed prefix.
                 std::vector<std::uint8_t> want(len, 0xEE);
-                referenceSub(want.data(), src, len, base);
+                referenceGradient(want.data(), src, len, base, add);
                 std::vector<std::uint8_t> got_backing(len + off, 0xEE);
-                gradientSubWith(k, got_backing.data() + off, src, len,
-                                base);
-                EXPECT_EQ(std::vector<std::uint8_t>(
-                              got_backing.begin() +
-                                  static_cast<std::ptrdiff_t>(off),
-                              got_backing.end()),
+                std::uint8_t *dst = got_backing.data() + off;
+                if (add) {
+                    gradientAdd(dst, src, len, base);
+                } else {
+                    gradientSub(dst, src, len, base);
+                }
+                EXPECT_EQ(std::vector<std::uint8_t>(dst, dst + len),
                           want)
-                    << gradientKernelName(k) << " len " << len
+                    << (add ? "add" : "sub") << " len " << len
                     << " off " << off;
             }
         }
     }
 }
 
-TEST(GradientKernels, AddInvertsSubForEveryKernelPair)
+TEST(Gradient, AddInvertsSub)
 {
     const Pixel base{17, 255, 128};
-    for (GradientKernel sub_k : availableGradientKernels()) {
-        for (GradientKernel add_k : availableGradientKernels()) {
-            for (std::size_t len : kSizes) {
-                const auto src = patternBytes(len, 77 + len);
-                std::vector<std::uint8_t> gab(len);
-                gradientSubWith(sub_k, gab.data(), src.data(), len,
-                                base);
-                std::vector<std::uint8_t> back(len);
-                gradientAddWith(add_k, back.data(), gab.data(), len,
-                                base);
-                // Only whole pixels round-trip; a ragged tail is
-                // untouched by both transforms.
-                const std::size_t full = len / 3 * 3;
-                EXPECT_TRUE(std::equal(back.begin(),
-                                       back.begin() +
-                                           static_cast<std::ptrdiff_t>(
-                                               full),
-                                       src.begin()))
-                    << gradientKernelName(sub_k) << " -> "
-                    << gradientKernelName(add_k) << " len " << len;
-            }
-        }
+    for (std::size_t len : kSizes) {
+        const auto src = patternBytes(len, 77 + len);
+        std::vector<std::uint8_t> gab(len);
+        gradientSub(gab.data(), src.data(), len, base);
+        std::vector<std::uint8_t> back(len);
+        gradientAdd(back.data(), gab.data(), len, base);
+        // Only whole pixels round-trip; a ragged tail is untouched by
+        // both transforms.
+        const std::size_t full = len / 3 * 3;
+        EXPECT_TRUE(std::equal(
+            back.begin(),
+            back.begin() + static_cast<std::ptrdiff_t>(full),
+            src.begin()))
+            << "len " << len;
     }
 }
 
-TEST(GradientKernels, ExactAliasInPlaceMatchesOutOfPlace)
+TEST(Gradient, ExactAliasInPlaceMatchesOutOfPlace)
 {
-    // Macroblock::addBase runs the kernels with dst == src; every
-    // kernel must load each chunk before storing it.
+    // Macroblock::addBase runs the transform with dst == src; the
+    // vector path must load each chunk before storing it.
     const Pixel base{5, 250, 77};
-    for (GradientKernel k : availableGradientKernels()) {
+    for (bool add : {false, true}) {
         for (std::size_t len : kSizes) {
             const auto src = patternBytes(len, 13 * len + 1);
             // In-place leaves the ragged tail holding src bytes.
             std::vector<std::uint8_t> want = src;
-            referenceSub(want.data(), src.data(), len, base);
+            referenceGradient(want.data(), src.data(), len, base, add);
             std::vector<std::uint8_t> in_place = src;
-            gradientSubWith(k, in_place.data(), in_place.data(), len,
-                            base);
-            EXPECT_EQ(in_place, want)
-                << gradientKernelName(k) << " len " << len;
-        }
-    }
-}
-
-TEST(SimilarityKernels, RegistryListsScalarFirstAndActiveIsAvailable)
-{
-    const auto kernels = availableSimilarityKernels();
-    ASSERT_FALSE(kernels.empty());
-    EXPECT_EQ(kernels.front(), SimilarityKernel::kScalar);
-    bool active_listed = false;
-    for (SimilarityKernel k : kernels) {
-        EXPECT_NE(std::string(similarityKernelName(k)), "");
-        active_listed |= k == activeSimilarityKernel();
-    }
-    EXPECT_TRUE(active_listed);
-}
-
-TEST(SimilarityKernels, AgreeOnEqualAndSingleByteDifferingBlocks)
-{
-    for (SimilarityKernel k : availableSimilarityKernels()) {
-        EXPECT_TRUE(blockEqualWith(k, nullptr, nullptr, 0))
-            << similarityKernelName(k);
-        for (std::size_t len :
-             {std::size_t{1}, std::size_t{7}, std::size_t{8},
-              std::size_t{9}, std::size_t{15}, std::size_t{16},
-              std::size_t{17}, std::size_t{48}, std::size_t{768}}) {
-            const auto a = patternBytes(len, len);
-            std::vector<std::uint8_t> b = a;
-            EXPECT_TRUE(blockEqualWith(k, a.data(), b.data(), len))
-                << similarityKernelName(k) << " len " << len;
-            // Flip one byte at the head, tail, middle and every
-            // vector-boundary-straddling position.
-            for (std::size_t p :
-                 {std::size_t{0}, len / 2, len - 1}) {
-                b = a;
-                b[p] ^= 0x80;
-                EXPECT_FALSE(
-                    blockEqualWith(k, a.data(), b.data(), len))
-                    << similarityKernelName(k) << " len " << len
-                    << " flip " << p;
+            if (add) {
+                gradientAdd(in_place.data(), in_place.data(), len, base);
+            } else {
+                gradientSub(in_place.data(), in_place.data(), len, base);
             }
+            EXPECT_EQ(in_place, want)
+                << (add ? "add" : "sub") << " len " << len;
         }
     }
 }
 
-TEST(SimilarityKernels, VectorConvenienceComparesSizeThenBytes)
+TEST(BlockEqual, MatchReferenceOnEqualAndSingleByteDiffs)
+{
+    EXPECT_TRUE(blockEqual(nullptr, nullptr, 0));
+    for (std::size_t len :
+         {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+          std::size_t{12}, std::size_t{15}, std::size_t{16},
+          std::size_t{17}, std::size_t{48}, std::size_t{768}}) {
+        const auto a = patternBytes(len, len);
+        std::vector<std::uint8_t> b = a;
+        EXPECT_TRUE(referenceEqual(a.data(), b.data(), len));
+        EXPECT_TRUE(blockEqual(a.data(), b.data(), len)) << "len " << len;
+        // Flip one bit of every single byte in turn: head, tail and
+        // every word- and vector-boundary-straddling position.
+        for (std::size_t p = 0; p < len; ++p) {
+            b = a;
+            b[p] ^= 0x80;
+            ASSERT_FALSE(referenceEqual(a.data(), b.data(), len));
+            EXPECT_FALSE(blockEqual(a.data(), b.data(), len))
+                << "len " << len << " flip " << p;
+        }
+    }
+}
+
+TEST(BlockEqual, VectorConvenienceComparesSizeThenBytes)
 {
     const std::vector<std::uint8_t> a = patternBytes(48, 5);
     std::vector<std::uint8_t> b = a;
     EXPECT_TRUE(blockEqual(a, b));
     b.pop_back();
     EXPECT_FALSE(blockEqual(a, b));
+    b = a;
+    b[47] ^= 1;
+    EXPECT_FALSE(blockEqual(a, b));
+    EXPECT_TRUE(blockEqual(std::vector<std::uint8_t>{},
+                           std::vector<std::uint8_t>{}));
 }
 
 TEST(BatchDigests, MatchPerBlockDigestsAtEveryCountAndKind)

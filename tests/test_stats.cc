@@ -121,42 +121,6 @@ TEST(SampleSeries, SortedIsAscendingAndPreservesSource)
     EXPECT_EQ(s.samples()[0], 3.0); // original order untouched
 }
 
-TEST(Histogram, BucketsAndBounds)
-{
-    stats::Histogram h("h", 0.0, 10.0, 5);
-    for (double v : {0.0, 1.9, 2.0, 5.5, 9.99}) {
-        h.sample(v);
-    }
-    h.sample(-1.0);  // underflow
-    h.sample(10.0);  // overflow (hi is exclusive)
-    h.sample(100.0); // overflow
-
-    EXPECT_EQ(h.count(), 8u);
-    EXPECT_EQ(h.bucketCount(0), 2u); // [0,2)
-    EXPECT_EQ(h.bucketCount(1), 1u); // [2,4)
-    EXPECT_EQ(h.bucketCount(2), 1u); // [4,6)
-    EXPECT_EQ(h.bucketCount(3), 0u);
-    EXPECT_EQ(h.bucketCount(4), 1u); // [8,10)
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(2), 4.0);
-    EXPECT_DOUBLE_EQ(h.bucketHigh(2), 6.0);
-}
-
-TEST(Histogram, ResetClears)
-{
-    stats::Histogram h("h", 0.0, 1.0, 2);
-    h.sample(0.5);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.bucketCount(1), 0u);
-}
-
-TEST(HistogramDeath, BadBoundsFatal)
-{
-    EXPECT_DEATH(stats::Histogram("bad", 1.0, 1.0, 4), "");
-}
-
 TEST(PrintStat, FormatsNameValueDesc)
 {
     std::ostringstream os;

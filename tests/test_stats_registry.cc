@@ -203,16 +203,13 @@ TEST(StatsRegistry, RegistersAndReadsEveryKind)
     d.sample(3.0);
     stats::SampleSeries series("", "a series");
     series.sample(5.0);
-    stats::Histogram h("", 0.0, 10.0, 5, "a histogram");
-    h.sample(2.5);
 
     r.add("a.scalar", s);
     r.add("a.dist", d);
     r.add("a.series", series);
-    r.add("a.hist", h);
     r.addCallback("a.cb", "a callback", [] { return 7.0; });
 
-    EXPECT_EQ(r.size(), 5u);
+    EXPECT_EQ(r.size(), 4u);
     EXPECT_TRUE(r.contains("a.scalar"));
     EXPECT_FALSE(r.contains("a.missing"));
     EXPECT_DOUBLE_EQ(r.value("a.scalar"), 42.0);
@@ -363,12 +360,9 @@ TEST(StatsRegistry, ResetThenDumpIsAllZeros)
     d.sample(5.0);
     stats::SampleSeries series;
     series.sample(1.0);
-    stats::Histogram h("", 0.0, 4.0, 4);
-    h.sample(1.5);
     r.add("z.scalar", s);
     r.add("z.dist", d);
     r.add("z.series", series);
-    r.add("z.hist", h);
 
     r.resetAll();
 
@@ -379,17 +373,10 @@ TEST(StatsRegistry, ResetThenDumpIsAllZeros)
     ASSERT_NE(stats_obj, nullptr);
     for (const auto &[name, entry] : stats_obj->object) {
         for (const auto &[field, value] : entry.object) {
-            if (field == "lo" || field == "hi") {
-                continue; // histogram bounds survive a reset
-            }
             if (value.kind == JsonValue::Kind::kNumber) {
                 EXPECT_DOUBLE_EQ(value.number, 0.0)
                     << name << "." << field
                     << " nonzero after resetAll";
-            } else if (value.kind == JsonValue::Kind::kArray) {
-                for (const JsonValue &b : value.array) {
-                    EXPECT_DOUBLE_EQ(b.number, 0.0);
-                }
             }
         }
     }
