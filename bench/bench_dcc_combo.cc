@@ -26,7 +26,7 @@ plainDccBytes(const VideoProfile &p)
     SyntheticVideo video(p);
     std::uint64_t bytes = 0;
     while (!video.done()) {
-        const Frame f = video.nextFrame();
+        const Frame &f = video.nextFrame();
         for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
             bytes += dccCompress(f.mab(i)).compressed_bytes;
         }

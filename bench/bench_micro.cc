@@ -329,38 +329,22 @@ BM_FrameBufferWrite(benchmark::State &state)
 }
 BENCHMARK(BM_FrameBufferWrite);
 
+/** Synthesis of one V8 frame at mab dimension state.range(0): the
+ * generator builds it in place in its window ring. */
 void
 BM_SyntheticFrame(benchmark::State &state)
 {
     VideoProfile p = workload("V8");
     p.frame_count = 1000000;
+    p.mab_dim = static_cast<std::uint32_t>(state.range(0));
     SyntheticVideo video(p);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(video.nextFrame());
+        benchmark::DoNotOptimize(video.nextFrame().mabCount());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(
         state.iterations() * p.mabsPerFrame()));
 }
-BENCHMARK(BM_SyntheticFrame);
-
-/** The zero-alloc generation path the pipeline runs: frame contents
- * land in a reused scratch Frame (compare against BM_SyntheticFrame,
- * which constructs and returns a fresh Frame per call). */
-void
-BM_SyntheticFrameInto(benchmark::State &state)
-{
-    VideoProfile p = workload("V8");
-    p.frame_count = 1000000;
-    SyntheticVideo video(p);
-    Frame scratch;
-    for (auto _ : state) {
-        video.nextFrameInto(scratch);
-        benchmark::DoNotOptimize(scratch.mabCount());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * p.mabsPerFrame()));
-}
-BENCHMARK(BM_SyntheticFrameInto);
+BENCHMARK(BM_SyntheticFrame)->Arg(4)->Arg(16);
 
 /** Steady-state borrow/return churn through the recycled pool,
  * against constructing an equivalent surface fresh each time

@@ -58,7 +58,7 @@ main(int argc, char **argv)
         std::uint64_t slot_cycle = 0;
 
         while (!sensor.done()) {
-            const Frame frame = sensor.nextFrame();
+            const Frame &frame = sensor.nextFrame();
             // The camera cycles through a small ring of buffers the
             // encoder drains.
             fbm.release(slot_cycle >= 4 ? slot_cycle - 4 : ~0ULL);

@@ -117,9 +117,6 @@ struct Playback
     std::vector<Tick> finishes;
     SurfacePool<FrameLayout> layout_pool{"pipeline.layouts"};
     std::vector<FrameLayout *> layouts;
-    /** Recycled scratch the generator writes each frame into, so
-     * steady-state decode allocates no frame storage. */
-    Frame frame_scratch;
     std::vector<BufferSlot *> slot_of;
     LiveSlotRing live_slots;
     Tick decoder_free = 0;
@@ -420,8 +417,7 @@ struct Playback
             live_slots.pop_front();
         }
 
-        video.nextFrameInto(frame_scratch);
-        const Frame &frame = frame_scratch;
+        const Frame &frame = video.nextFrame();
         BufferSlot &slot = fbm.acquire(i);
         slot_of[i] = &slot;
         live_slots.push_back(i);

@@ -25,6 +25,24 @@ rotl(std::uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
+/** One xoshiro256** step.  The bulk draws run it on a local copy of
+ * the state so the four words stay in registers. */
+inline std::uint64_t
+step(std::array<std::uint64_t, 4> &s)
+{
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+
+    return result;
+}
+
 } // namespace
 
 Random::Random(std::uint64_t seed_value)
@@ -46,17 +64,18 @@ Random::seed(std::uint64_t seed_value)
 std::uint64_t
 Random::next()
 {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
+    return step(s_);
+}
 
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
+// vstream:hot
+void
+Random::fillLowBytes(std::uint8_t *dst, std::size_t n)
+{
+    std::array<std::uint64_t, 4> s = s_;
+    for (std::size_t i = 0; i < n; ++i) {
+        dst[i] = static_cast<std::uint8_t>(step(s));
+    }
+    s_ = s;
 }
 
 double
@@ -131,13 +150,29 @@ Random::logNormal(double mu, double sigma)
     return std::exp(gaussian(mu, sigma));
 }
 
+// vstream:hot
 std::uint64_t
 Random::burstLength(double continue_prob, std::uint64_t cap)
 {
+    if (cap <= 1 || continue_prob <= 0.0) {
+        return 1;
+    }
+    if (continue_prob >= 1.0) {
+        return cap;
+    }
+    // chance(p) is (x >> 11) * 2^-53 < p.  Scaling p by 2^53 is
+    // exact and x >> 11 is an integer, so the test is exactly
+    // (x >> 11) < ceil(p * 2^53).  A NaN p gives threshold 0: one
+    // draw, then stop, as chance(NaN) would.
+    const double scaled = std::ceil(continue_prob * 0x1.0p53);
+    const std::uint64_t threshold =
+        scaled > 0.0 ? static_cast<std::uint64_t>(scaled) : 0;
+    std::array<std::uint64_t, 4> s = s_;
     std::uint64_t len = 1;
-    while (len < cap && chance(continue_prob)) {
+    while (len < cap && (step(s) >> 11) < threshold) {
         ++len;
     }
+    s_ = s;
     return len;
 }
 

@@ -14,6 +14,7 @@
 #define VSTREAM_SIM_RANDOM_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace vstream
@@ -38,6 +39,13 @@ class Random
 
     /** Next raw 64-bit value. */
     std::uint64_t next();
+
+    /**
+     * Write the low byte of each of the next @p n draws to @p dst:
+     * exactly what @p n calls of next() would give, at the speed of
+     * the generator's dependency chain (noise macroblocks).
+     */
+    void fillLowBytes(std::uint8_t *dst, std::size_t n);
 
     /** Uniform double in [0, 1). */
     double uniform();
@@ -67,7 +75,12 @@ class Random
      */
     double logNormal(double mu, double sigma);
 
-    /** Geometric-ish burst length in [1, cap]. */
+    /**
+     * Geometric-ish burst length in [1, cap]: one plus the number of
+     * successive chance(@p continue_prob) successes, stopping at
+     * @p cap.  Consumes exactly the draws that loop would, none when
+     * the outcome is certain (p <= 0, p >= 1 or cap <= 1).
+     */
     std::uint64_t burstLength(double continue_prob, std::uint64_t cap);
 
   private:

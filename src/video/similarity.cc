@@ -118,7 +118,7 @@ analyzeSimilarity(const VideoProfile &profile, std::uint32_t max_frames,
     Macroblock gab_scratch(p.mab_dim);
 
     while (!video.done()) {
-        const Frame frame = video.nextFrame();
+        const Frame &frame = video.nextFrame();
         if (frame.mabCount() == 0) {
             vs_panic("similarity analysis hit an empty frame");
         }

@@ -10,7 +10,8 @@ namespace vstream
 {
 
 SyntheticVideo::SyntheticVideo(const VideoProfile &profile)
-    : profile_(profile), rng_(profile.seed)
+    : profile_(profile), gop_(profile.gop_pattern), rng_(profile.seed),
+      window_ring_(profile.inter_window + std::size_t{1})
 {
     profile_.validate();
 
@@ -76,25 +77,15 @@ const Frame &
 SyntheticVideo::windowAt(std::size_t i) const
 {
     vs_assert(i < win_size_, "window index out of range");
-    const std::size_t cap = profile_.inter_window;
-    return window_ring_[(win_next_ + cap - win_size_ + i) % cap];
+    const std::size_t slots = window_ring_.size();
+    return window_ring_[(win_next_ + slots - win_size_ + i) % slots];
 }
 
-// vstream:hot
-// vstream:allow(no-hotpath-alloc) warmup-only growth: the ring fills
-// to inter_window slots once, then recycles them by copy-assignment
 void
-SyntheticVideo::pushWindow(const Frame &frame)
+SyntheticVideo::pushWindow()
 {
-    const std::size_t cap = profile_.inter_window;
-    if (window_ring_.size() < cap && win_next_ == window_ring_.size()) {
-        window_ring_.push_back(frame);
-        win_next_ = window_ring_.size() % cap;
-    } else {
-        window_ring_[win_next_] = frame;
-        win_next_ = (win_next_ + 1) % cap;
-    }
-    win_size_ = std::min(win_size_ + 1, cap);
+    win_next_ = (win_next_ + 1) % window_ring_.size();
+    win_size_ = std::min<std::size_t>(win_size_ + 1, profile_.inter_window);
 }
 
 Pixel
@@ -120,9 +111,8 @@ SyntheticVideo::paletteColor()
 void
 SyntheticVideo::uniqueMabInto(Macroblock &mab)
 {
-    for (auto &byte : mab.bytes()) {
-        byte = static_cast<std::uint8_t>(rng_.next());
-    }
+    auto &bytes = mab.bytes();
+    rng_.fillLowBytes(bytes.data(), bytes.size());
 }
 
 // vstream:hot
@@ -175,22 +165,21 @@ SyntheticVideo::windowMabNear(std::uint32_t i)
     return f.mab(static_cast<std::uint32_t>(mab_idx));
 }
 
-Frame
-SyntheticVideo::nextFrame()
-{
-    Frame frame;
-    nextFrameInto(frame);
-    return frame;
-}
-
 // vstream:hot
 void
 SyntheticVideo::nextFrameInto(Frame &out)
 {
+    out = nextFrame();
+}
+
+// vstream:hot
+const Frame &
+SyntheticVideo::nextFrame()
+{
     vs_assert(!done(), "video '", profile_.key, "' exhausted");
 
-    const GopStructure gop(profile_.gop_pattern);
     const std::uint64_t idx = next_index_++;
+    Frame &frame = window_ring_[win_next_];
 
     // Scene cut: clear the copy window so following frames start
     // fresh (drives the I-frame-heavy trailer workloads).
@@ -204,23 +193,22 @@ SyntheticVideo::nextFrameInto(Frame &out)
         rng_.chance(profile_.static_frame_rate)) {
         const Frame &prev = windowAt(win_size_ - 1);
         // Re-stamp the per-frame metadata for this position.
-        out.reinit(idx, gop.frameType(idx), profile_.mabsX(),
-                   profile_.mabsY(), profile_.mab_dim);
-        for (std::uint32_t i = 0; i < out.mabCount(); ++i) {
-            out.mab(i) = prev.mab(i);
-            out.setOrigin(i, MabOrigin::kInterCopy);
+        frame.reinit(idx, gop_.frameType(idx), profile_.mabsX(),
+                     profile_.mabsY(), profile_.mab_dim);
+        for (std::uint32_t i = 0; i < frame.mabCount(); ++i) {
+            frame.mab(i) = prev.mab(i);
+            frame.setOrigin(i, MabOrigin::kInterCopy);
         }
-        out.setComplexity(0.6); // repeats decode cheaply
-        out.setEncodedBytes(static_cast<std::uint64_t>(
+        frame.setComplexity(0.6); // repeats decode cheaply
+        frame.setEncodedBytes(static_cast<std::uint64_t>(
             profile_.mabsPerFrame() * profile_.encoded_bytes_per_mab *
             0.2));
-        pushWindow(out);
-        return;
+        pushWindow();
+        return frame;
     }
 
-    out.reinit(idx, gop.frameType(idx), profile_.mabsX(),
-               profile_.mabsY(), profile_.mab_dim);
-    Frame &frame = out;
+    frame.reinit(idx, gop_.frameType(idx), profile_.mabsX(),
+                 profile_.mabsY(), profile_.mab_dim);
 
     // Per-frame decode complexity: lognormal with unit mean, capped.
     const double mu =
@@ -275,7 +263,8 @@ SyntheticVideo::nextFrameInto(Frame &out)
         }
     }
 
-    pushWindow(frame);
+    pushWindow();
+    return frame;
 }
 
 } // namespace vstream

@@ -18,6 +18,7 @@
 
 #include "sim/random.hh"
 #include "video/frame.hh"
+#include "video/gop.hh"
 #include "video/video_profile.hh"
 
 namespace vstream
@@ -32,15 +33,16 @@ class SyntheticVideo
     /** All frames emitted? */
     bool done() const { return next_index_ >= profile_.frame_count; }
 
-    /** Generate the next frame (fatal when done()). */
-    Frame nextFrame();
-
     /**
-     * Generate the next frame into @p out, reusing its storage
-     * (fatal when done()).  Identical content and rng consumption to
-     * nextFrame(); the serving hot path uses this with a recycled
-     * scratch frame so steady-state generation never allocates.
+     * Generate the next frame (fatal when done()).  The frame is
+     * built in place in the window ring, so the reference stays
+     * valid only until the next call to nextFrame(),
+     * nextFrameInto() or reset().
      */
+    const Frame &nextFrame();
+
+    /** Generate the next frame and copy it into @p out, reusing
+     * @p out's storage (fatal when done()). */
     void nextFrameInto(Frame &out);
 
     std::uint64_t framesEmitted() const { return next_index_; }
@@ -62,19 +64,22 @@ class SyntheticVideo
 
     /** Frame @p i of the logical window, 0 = oldest. */
     const Frame &windowAt(std::size_t i) const;
-    /** Copy @p frame into the window ring as the newest entry. */
-    void pushWindow(const Frame &frame);
+    /** Make the frame just generated in the free slot the newest
+     * window entry. */
+    void pushWindow();
 
     VideoProfile profile_;
+    GopStructure gop_;
     Random rng_;
     std::uint64_t next_index_ = 0;
     /**
-     * Ring of the most recent inter_window frames.  Slots grow once
-     * up to profile_.inter_window and are then recycled by
-     * copy-assignment (which reuses macroblock storage), so the
-     * steady-state window never allocates.  win_size_ is the live
-     * logical window (reset on scene cuts), win_next_ the slot the
-     * next frame lands in.
+     * inter_window + 1 frame slots, sized at construction: the most
+     * recent inter_window frames plus the free slot win_next_ that
+     * the next frame is generated into.  Empty slots own no pixels;
+     * each gets its macroblock storage on its first reinit and keeps
+     * it, so the steady-state ring never allocates, and no slot ever
+     * moves while a frame is copied from another.  win_size_ is the
+     * live logical window (reset on scene cuts).
      */
     std::vector<Frame> window_ring_;
     std::size_t win_next_ = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "sim/random.hh"
@@ -182,6 +183,84 @@ TEST(Random, BurstLengthDegenerate)
     for (int i = 0; i < 100; ++i) {
         EXPECT_EQ(r.burstLength(0.0, 8), 1u);
         EXPECT_EQ(r.burstLength(1.0, 8), 8u);
+    }
+}
+
+/** The next 8 raw draws: compares the state a fast path leaves. */
+std::vector<std::uint64_t>
+nextDraws(Random &r)
+{
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < 8; ++i) {
+        out.push_back(r.next());
+    }
+    return out;
+}
+
+TEST(Random, FillLowBytesMatchesPerDrawLoop)
+{
+    const std::size_t sizes[] = {0, 1, 47, 48, 768};
+    for (const std::size_t n : sizes) {
+        Random fast(21), ref(21);
+        std::vector<std::uint8_t> got(n + 1, 0xa5), want(n + 1, 0xa5);
+        fast.fillLowBytes(got.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            want[i] = static_cast<std::uint8_t>(ref.next());
+        }
+        EXPECT_EQ(got, want) << "n=" << n; // the guard byte included
+        EXPECT_EQ(nextDraws(fast), nextDraws(ref)) << "n=" << n;
+    }
+}
+
+TEST(Random, BurstLengthMatchesChanceLoop)
+{
+    const double ps[] = {0.0,
+                         0x1.0p-53,
+                         0.6,
+                         0.97,
+                         0.1, // not dyadic: p * 2^53 is not an integer
+                         std::nextafter(1.0, 0.0),
+                         1.0};
+    const std::uint64_t caps[] = {0, 1, 2, 256};
+    std::uint64_t seed = 100;
+    for (const double p : ps) {
+        for (const std::uint64_t cap : caps) {
+            Random fast(seed), ref(seed);
+            ++seed;
+            for (int trial = 0; trial < 200; ++trial) {
+                std::uint64_t want = 1;
+                while (want < cap && ref.chance(p)) {
+                    ++want;
+                }
+                ASSERT_EQ(fast.burstLength(p, cap), want)
+                    << "p=" << p << " cap=" << cap << " trial=" << trial;
+            }
+            EXPECT_EQ(nextDraws(fast), nextDraws(ref))
+                << "p=" << p << " cap=" << cap;
+        }
+    }
+}
+
+TEST(Random, BurstLengthThresholdIsExactAtTheBoundary)
+{
+    // A draw with x >> 11 == k succeeds iff k * 2^-53 < p.  Take k
+    // from the seed's first draw and try p at and just above
+    // k * 2^-53.  Below one half the value above scales to a
+    // non-integer, so this pins both the strict comparison and the
+    // rounding up of p * 2^53.
+    Random probe(30);
+    const std::uint64_t k = probe.next() >> 11;
+    const double at = static_cast<double>(k) * 0x1.0p-53;
+    ASSERT_LT(at, 0.5);
+    const double above = std::nextafter(at, 1.0);
+    for (const double p : {at, above}) {
+        Random fast(30), ref(30);
+        std::uint64_t want = 1;
+        while (want < 2 && ref.chance(p)) {
+            ++want;
+        }
+        EXPECT_EQ(fast.burstLength(p, 2), want) << "p=" << p;
+        EXPECT_EQ(want, p > at ? 2u : 1u);
     }
 }
 

@@ -76,7 +76,9 @@ TEST(SurfacePool, AcquireReturnsLowestIndexedFreeSurface)
     EXPECT_EQ(&pool.acquire(), &s2);
 
     // All slots live again: the next acquire grows a fresh slot.
-    EXPECT_EQ(&pool.acquire(), &pool.at(3));
+    // Acquire first: at(3) only exists once the pool has grown.
+    TestSurface &s3 = pool.acquire();
+    EXPECT_EQ(&s3, &pool.at(3));
     EXPECT_EQ(pool.allocated(), 4u);
     (void)s1;
 }

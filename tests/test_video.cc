@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
+#include "hash/crc.hh"
 #include "sim/random.hh"
 #include "sim/ticks.hh"
 #include "video/frame.hh"
@@ -379,6 +381,111 @@ TEST_P(WorkloadSweep, GeneratorHonorsFrameTypeSchedule)
 
 INSTANTIATE_TEST_SUITE_P(AllVideos, WorkloadSweep,
                          ::testing::Range(0, 16));
+
+// ---------------------------------------------------------------------
+// Synthesis goldens.  Each fingerprint is a CRC over every frame's
+// content checksum, mab origins, complexity bits and encoded size, in
+// stream order, taken before the generator's bulk-draw and in-ring
+// rewrite.  They pin the generator's output byte for byte: a
+// speed change must leave them alone, and a change to the content
+// model updates them on purpose.
+// ---------------------------------------------------------------------
+
+void
+absorbLe(Crc32 &crc, std::uint64_t v, unsigned bytes)
+{
+    for (unsigned b = 0; b < bytes; ++b) {
+        const auto byte = static_cast<std::uint8_t>(v >> (8 * b));
+        crc.update(&byte, 1);
+    }
+}
+
+void
+absorbVideo(Crc32 &crc, const VideoProfile &p)
+{
+    SyntheticVideo v(p);
+    while (!v.done()) {
+        const Frame &f = v.nextFrame();
+        absorbLe(crc, f.contentChecksum(), 4);
+        for (std::uint32_t i = 0; i < f.mabCount(); ++i) {
+            absorbLe(crc, static_cast<std::uint8_t>(f.origin(i)), 1);
+        }
+        std::uint64_t complexity_bits = 0;
+        const double complexity = f.complexity();
+        std::memcpy(&complexity_bits, &complexity, sizeof complexity);
+        absorbLe(crc, complexity_bits, 8);
+        absorbLe(crc, f.encodedBytes(), 8);
+    }
+}
+
+/** The 16 Table-1 videos at 40 frames each, with @p mab_dim mabs. */
+std::uint32_t
+tableFingerprint(std::uint32_t mab_dim)
+{
+    Crc32 crc;
+    for (VideoProfile p : workloadTable()) {
+        p.frame_count = 40;
+        p.mab_dim = mab_dim;
+        absorbVideo(crc, p);
+    }
+    return crc.digest();
+}
+
+std::uint32_t
+profileFingerprint(const VideoProfile &p)
+{
+    Crc32 crc;
+    absorbVideo(crc, p);
+    return crc.digest();
+}
+
+TEST(SynthesisGolden, TableVideosAt4x4)
+{
+    EXPECT_EQ(tableFingerprint(4), 0x7a83974eu);
+}
+
+TEST(SynthesisGolden, TableVideosAt16x16)
+{
+    EXPECT_EQ(tableFingerprint(16), 0x1b61b55bu);
+}
+
+TEST(SynthesisGolden, StaticFramesAndSceneCuts)
+{
+    // The static-frame path copies the previous window frame while
+    // the new one is generated; 120 frames wrap the 16-frame window
+    // several times.
+    VideoProfile p = workload("V5");
+    p.frame_count = 120;
+    p.static_frame_rate = 0.5;
+    p.scene_change_rate = 0.05;
+    EXPECT_EQ(profileFingerprint(p), 0x13ffe8bdu);
+}
+
+TEST(SynthesisGolden, OneFrameWindow)
+{
+    VideoProfile p = workload("V8");
+    p.frame_count = 60;
+    p.inter_window = 1;
+    p.static_frame_rate = 0.5;
+    EXPECT_EQ(profileFingerprint(p), 0xd5b698e2u);
+}
+
+TEST(SyntheticVideo, NextFrameIntoCopiesTheNextFrame)
+{
+    auto p = testProfile();
+    p.static_frame_rate = 0.3;
+    SyntheticVideo a(p);
+    SyntheticVideo b(p);
+    Frame out;
+    while (!a.done()) {
+        const Frame &want = a.nextFrame();
+        b.nextFrameInto(out);
+        ASSERT_EQ(out.index(), want.index());
+        ASSERT_EQ(out.contentChecksum(), want.contentChecksum());
+        ASSERT_EQ(out.encodedBytes(), want.encodedBytes());
+    }
+    EXPECT_TRUE(b.done());
+}
 
 } // namespace
 } // namespace vstream
