@@ -2,10 +2,10 @@
  * @file
  * Open-addressing hash containers for integer keys.
  *
- * The MACH hot loops (match counting, frame-buffer block offsets,
- * similarity windows) all map small integer keys to small values and
- * never erase individual entries — they only grow and are dropped
- * wholesale.  std::unordered_map pays a node allocation per insert
+ * The MACH hot loops (match counting, similarity windows) all map
+ * small integer keys to small values and never erase individual
+ * entries — they only grow and are dropped wholesale.
+ * std::unordered_map pays a node allocation per insert
  * and a pointer chase per probe for that pattern; these tables keep
  * every slot in one contiguous vector with power-of-two capacity and
  * linear probing, so the common probe touches one cache line and

@@ -1,6 +1,8 @@
 #include "core/frame_buffer_manager.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "sim/logging.hh"
 
@@ -11,7 +13,7 @@ FrameBufferManager::FrameBufferManager(MemorySystem &mem,
                                        std::uint32_t mab_count,
                                        std::uint32_t mab_bytes,
                                        std::uint64_t mach_dump_bytes)
-    : mem_(mem),
+    : mem_(mem), mab_count_(mab_count), mab_bytes_(mab_bytes),
       // Worst-case metadata: a 4 B pointer/digest stream and a 3 B
       // base stream (kept in disjoint halves with slack so the two
       // write-combining cursors never collide) plus the 1 bit/mab
@@ -21,6 +23,9 @@ FrameBufferManager::FrameBufferManager(MemorySystem &mem,
       data_capacity_(static_cast<std::uint64_t>(mab_count) * mab_bytes),
       mach_dump_capacity_(mach_dump_bytes)
 {
+    vs_assert(data_capacity_ <= std::numeric_limits<std::uint32_t>::max(),
+              "frame data region exceeds 32-bit block offsets: ",
+              data_capacity_);
 }
 
 BufferSlot &
@@ -28,11 +33,12 @@ FrameBufferManager::acquire(std::uint64_t frame_index)
 {
     // The pool recycles the lowest-indexed free slot (preserving the
     // historical first-free scan order) or constructs a new one; the
-    // make callback runs only on growth, so the DRAM regions are
-    // allocated exactly once per slot.
+    // make callback runs only on growth, so the DRAM regions and the
+    // block storage are allocated exactly once per slot.
     BufferSlot &slot = slots_.acquire([this] {
         BufferSlot fresh;
         fresh.arena.reserve(data_capacity_);
+        fresh.offsets.resize(mab_count_);
         fresh.meta_base = mem_.allocate(meta_capacity_, "fb.meta");
         fresh.data_base = mem_.allocate(data_capacity_, "fb.data");
         fresh.mach_dump_base =
@@ -44,10 +50,9 @@ FrameBufferManager::acquire(std::uint64_t frame_index)
         fresh.mach_dump_capacity = mach_dump_capacity_;
         return fresh;
     });
-    slot.in_use = true;
     slot.frame_index = frame_index;
     slot.arena.clear();
-    slot.block_index.clear();
+    slot.blocks = 0;
     return slot;
 }
 
@@ -56,111 +61,84 @@ FrameBufferManager::release(std::uint64_t frame_index)
 {
     for (std::size_t i = 0; i < slots_.allocated(); ++i) {
         BufferSlot &slot = slots_.at(i);
-        if (slot.in_use && slot.frame_index == frame_index) {
-            slot.in_use = false;
+        if (slots_.liveAt(i) && slot.frame_index == frame_index) {
             slots_.release(slot);
             return;
         }
     }
 }
 
-BufferSlot *
-FrameBufferManager::find(std::uint64_t frame_index)
-{
-    for (std::size_t i = 0; i < slots_.allocated(); ++i) {
-        BufferSlot &slot = slots_.at(i);
-        if (slot.in_use && slot.frame_index == frame_index) {
-            return &slot;
-        }
-    }
-    return nullptr;
-}
-
-const BufferSlot *
-FrameBufferManager::find(std::uint64_t frame_index) const
+// vstream:hot
+FrameBufferManager::Location
+FrameBufferManager::locate(Addr addr) const
 {
     for (std::size_t i = 0; i < slots_.allocated(); ++i) {
         const BufferSlot &slot = slots_.at(i);
-        if (slot.in_use && slot.frame_index == frame_index) {
-            return &slot;
+        if (addr < slot.data_base ||
+            addr >= slot.data_base + data_capacity_) {
+            continue;
         }
-    }
-    return nullptr;
-}
-
-BufferSlot *
-FrameBufferManager::slotContaining(Addr addr)
-{
-    for (std::size_t i = 0; i < slots_.allocated(); ++i) {
-        BufferSlot &slot = slots_.at(i);
-        if (addr >= slot.data_base &&
-            addr < slot.data_base + slot.data_capacity) {
-            return &slot;
+        const auto off = static_cast<std::uint32_t>(addr - slot.data_base);
+        const std::uint32_t *first = slot.offsets.data();
+        // Linear, pointer and pointer+digest frames store their k-th
+        // block at k * mab_bytes, so the probe is exact.  DCC-compacted
+        // frames pack blocks at prefix sums of their compressed sizes;
+        // only they fall back to the binary search.
+        std::uint32_t k = off / mab_bytes_;
+        if (k >= slot.blocks || first[k] != off) {
+            k = static_cast<std::uint32_t>(
+                std::lower_bound(first, first + slot.blocks, off) -
+                first);
+            if (k < slot.blocks && first[k] != off) {
+                k = slot.blocks;
+            }
         }
+        return {i, k};
     }
-    return nullptr;
-}
-
-const BufferSlot *
-FrameBufferManager::slotContaining(Addr addr) const
-{
-    for (std::size_t i = 0; i < slots_.allocated(); ++i) {
-        const BufferSlot &slot = slots_.at(i);
-        if (addr >= slot.data_base &&
-            addr < slot.data_base + slot.data_capacity) {
-            return &slot;
-        }
-    }
-    return nullptr;
+    return {slots_.allocated(), 0};
 }
 
 // vstream:hot
 void
 FrameBufferManager::storeBlock(Addr addr,
-                               const std::vector<std::uint8_t> &bytes)
+                               std::span<const std::uint8_t> bytes)
 {
-    BufferSlot *slot = slotContaining(addr);
-    vs_assert(slot != nullptr,
+    const Location at = locate(addr);
+    vs_assert(at.slot < slots_.allocated(),
               "block store outside any frame buffer: addr=", addr);
-    const auto size = static_cast<std::uint32_t>(bytes.size());
-    std::uint64_t *packed = slot->block_index.find(addr);
-    if (packed != nullptr &&
-        static_cast<std::uint32_t>(*packed) == size) {
-        // Same-size overwrite: reuse the existing arena slab.
-        std::memcpy(slot->arena.data() + (*packed >> 32), bytes.data(),
-                    size);
+    vs_assert(bytes.size() == mab_bytes_, "block of ", bytes.size(),
+              " bytes stored; blocks are ", mab_bytes_);
+    BufferSlot &slot = slots_.at(at.slot);
+    if (at.block < slot.blocks) {
+        std::memcpy(slot.arena.data() +
+                        static_cast<std::size_t>(at.block) * mab_bytes_,
+                    bytes.data(), mab_bytes_);
         return;
     }
-    const std::uint64_t off = slot->arena.size();
-    slot->arena.insert(slot->arena.end(), bytes.begin(), bytes.end());
-    const std::uint64_t entry = (off << 32) | size;
-    if (packed != nullptr) {
-        *packed = entry; // old slab becomes frame-local garbage
-    } else {
-        slot->block_index[addr] = entry;
-    }
+    const auto off = static_cast<std::uint32_t>(addr - slot.data_base);
+    vs_assert(slot.blocks == 0 || off > slot.offsets[slot.blocks - 1],
+              "out-of-order block append at offset ", off);
+    vs_assert(slot.blocks < slot.offsets.size(),
+              "more blocks than a frame holds");
+    slot.offsets[slot.blocks++] = off;
+    slot.arena.insert(slot.arena.end(), bytes.begin(), bytes.end());
 }
 
 // vstream:hot
-StoredBlock
+std::span<const std::uint8_t>
 FrameBufferManager::loadBlock(Addr addr) const
 {
-    const BufferSlot *slot = slotContaining(addr);
-    if (slot == nullptr) {
+    const Location at = locate(addr);
+    if (at.slot == slots_.allocated()) {
         return {};
     }
-    const std::uint64_t *packed = slot->block_index.find(addr);
-    if (packed == nullptr) {
+    const BufferSlot &slot = slots_.at(at.slot);
+    if (at.block == slot.blocks) {
         return {};
     }
-    return {slot->arena.data() + (*packed >> 32),
-            static_cast<std::uint32_t>(*packed)};
-}
-
-std::uint32_t
-FrameBufferManager::slotsInUse() const
-{
-    return static_cast<std::uint32_t>(slots_.stats().live);
+    return {slot.arena.data() +
+                static_cast<std::size_t>(at.block) * mab_bytes_,
+            mab_bytes_};
 }
 
 std::uint64_t

@@ -12,41 +12,22 @@
  * The manager also plays the role of "what the bytes in DRAM are":
  * block contents written by the decoder are stored here so the
  * display model can reconstruct frames and the test suite can verify
- * losslessness end to end.
+ * losslessness end to end.  Loads go by address, because pointer
+ * records and dumped MACH images point into other frames' slots.
  */
 
 #ifndef VSTREAM_CORE_FRAME_BUFFER_MANAGER_HH
 #define VSTREAM_CORE_FRAME_BUFFER_MANAGER_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "core/flat_table.hh"
 #include "core/surface_pool.hh"
 #include "mem/memory_system.hh"
 
 namespace vstream
 {
-
-/**
- * View of block bytes stored in a slot's arena.
- *
- * Valid until the next storeBlock() into the same slot (arena growth
- * may move the bytes); consume it before writing again.
- */
-struct StoredBlock
-{
-    const std::uint8_t *data = nullptr;
-    std::uint32_t size = 0;
-
-    explicit operator bool() const { return data != nullptr; }
-
-    std::vector<std::uint8_t>
-    toVector() const
-    {
-        return std::vector<std::uint8_t>(data, data + size);
-    }
-};
 
 /** One reusable frame-buffer slot. */
 struct BufferSlot
@@ -57,17 +38,16 @@ struct BufferSlot
     std::uint64_t meta_capacity = 0;
     std::uint64_t data_capacity = 0;
     std::uint64_t mach_dump_capacity = 0;
-    bool in_use = false;
     std::uint64_t frame_index = 0;
     /**
-     * Simulated contents: blocks append into one frame-sized arena
-     * and block_index maps the block address to (offset << 32 | size)
-     * within it.  Replaces the old per-block
-     * unordered_map<Addr, vector<uint8_t>> whose every store paid a
-     * node plus a vector allocation.
+     * Simulated contents.  Writers append blocks in ascending address
+     * order; block k's bytes sit at k * mab_bytes in the arena and
+     * its offset from data_base at offsets[k].  Both are sized for a
+     * frame's worth of blocks when the slot is created.
      */
     std::vector<std::uint8_t> arena;
-    FlatMap<Addr, std::uint64_t> block_index;
+    std::vector<std::uint32_t> offsets;
+    std::uint32_t blocks = 0;
 };
 
 /** Pool of frame buffers plus the simulated block store. */
@@ -77,7 +57,7 @@ class FrameBufferManager
     /**
      * @param mem             owner of the simulated address space
      * @param mab_count       mabs per frame
-     * @param mab_bytes       decoded bytes per mab
+     * @param mab_bytes       decoded bytes per mab (every block's size)
      * @param mach_dump_bytes capacity reserved for a MACH dump image
      */
     FrameBufferManager(MemorySystem &mem, std::uint32_t mab_count,
@@ -91,15 +71,18 @@ class FrameBufferManager
     /** Release the slot holding @p frame_index (no-op if absent). */
     void release(std::uint64_t frame_index);
 
-    /** Slot currently holding @p frame_index, or nullptr. */
-    BufferSlot *find(std::uint64_t frame_index);
-    const BufferSlot *find(std::uint64_t frame_index) const;
+    /**
+     * Record a block at @p addr, which must fall inside some slot:
+     * either overwrite the block already stored there or append past
+     * the slot's last block.  @p bytes must be mab_bytes long.
+     */
+    void storeBlock(Addr addr, std::span<const std::uint8_t> bytes);
 
-    /** Record block bytes at @p addr (must fall inside some slot). */
-    void storeBlock(Addr addr, const std::vector<std::uint8_t> &bytes);
-
-    /** Fetch block bytes at @p addr; empty view when nothing stored. */
-    StoredBlock loadBlock(Addr addr) const;
+    /**
+     * Bytes of the block stored at @p addr; empty when nothing is.
+     * Valid until the next storeBlock() or acquire().
+     */
+    std::span<const std::uint8_t> loadBlock(Addr addr) const;
 
     /** Slots ever allocated (== peak simultaneous buffers). */
     std::uint32_t slotsAllocated() const
@@ -107,23 +90,23 @@ class FrameBufferManager
         return static_cast<std::uint32_t>(slots_.allocated());
     }
 
-    /** Slots currently holding live frames. */
-    std::uint32_t slotsInUse() const;
-
     /** Total DRAM footprint of the pool, bytes. */
     std::uint64_t poolBytes() const;
 
-    /** Per-slot worst-case decoded size (the data region size). */
-    std::uint64_t dataCapacity() const { return data_capacity_; }
-
-    /** The underlying slot pool's counters (recycle visibility). */
-    const SurfacePoolStats &poolStats() const { return slots_.stats(); }
-
   private:
-    BufferSlot *slotContaining(Addr addr);
-    const BufferSlot *slotContaining(Addr addr) const;
+    /** Where an address lands: its slot (allocated() when none) and
+     * the ordinal of the block stored exactly there (the slot's block
+     * count when none is). */
+    struct Location
+    {
+        std::size_t slot;
+        std::uint32_t block;
+    };
+    Location locate(Addr addr) const;
 
     MemorySystem &mem_;
+    std::uint32_t mab_count_;
+    std::uint32_t mab_bytes_;
     std::uint64_t meta_capacity_;
     std::uint64_t data_capacity_;
     std::uint64_t mach_dump_capacity_;

@@ -87,7 +87,7 @@ DisplayController::fetchBlock(Addr addr, std::uint32_t size, Tick now,
     return t;
 }
 
-StoredBlock
+std::span<const std::uint8_t>
 DisplayController::resolveDigestMiss(const FrameLayout &layout,
                                      std::uint32_t digest, Tick &now,
                                      ScanStats &stats)
@@ -186,9 +186,9 @@ DisplayController::scanOut(const FrameLayout &layout, Tick now,
             layout.mabBytes();
         t = streamRead(layout.dataBase(), frame_bytes, t, stats);
         for (std::uint32_t i = 0; i < layout.mabCount(); ++i) {
-            const StoredBlock stored =
+            const std::span<const std::uint8_t> stored =
                 fbm_.loadBlock(layout.record(i).data_addr);
-            vs_assert(stored, "linear block missing");
+            vs_assert(!stored.empty(), "linear block missing");
             FrameReconstructor::rebuildMabInto(stored, layout.record(i),
                                                false, shown[i]);
         }
@@ -216,19 +216,18 @@ DisplayController::scanOut(const FrameLayout &layout, Tick now,
 
         for (std::uint32_t i = 0; i < layout.mabCount(); ++i) {
             const MabRecord &rec = layout.record(i);
-            StoredBlock stored;
+            std::span<const std::uint8_t> stored;
 
             if (rec.storage == MabStorage::kInterDigest && mach_buffer_) {
                 ++stats.digest_records;
                 if (const auto *hit = mach_buffer_->lookup(rec.digest)) {
-                    stored = {hit->data(),
-                              static_cast<std::uint32_t>(hit->size())};
+                    stored = *hit;
                     ++stats.mach_buffer_hits;
                 } else {
                     ++stats.mach_buffer_misses;
                     stored =
                         resolveDigestMiss(layout, rec.digest, t, stats);
-                    if (!stored) {
+                    if (stored.empty()) {
                         // Dump aged out too: fall back to the block
                         // pointer the record still carries.
                         t = fetchBlock(rec.data_addr,
@@ -241,15 +240,14 @@ DisplayController::scanOut(const FrameLayout &layout, Tick now,
                 t = fetchBlock(rec.data_addr, layout.mabBytes(), t,
                                stats);
                 stored = fbm_.loadBlock(rec.data_addr);
-                if (stored && mach_buffer_ &&
+                if (!stored.empty() && mach_buffer_ &&
                     rec.storage == MabStorage::kUnique &&
                     dump_digests.contains(rec.digest)) {
-                    mach_buffer_->insert(rec.digest, stored.data,
-                                         stored.size);
+                    mach_buffer_->insert(rec.digest, stored);
                 }
             }
 
-            vs_assert(stored,
+            vs_assert(!stored.empty(),
                       "display could not locate block for mab ", i,
                       " of frame ", layout.frameIndex());
             FrameReconstructor::rebuildMabInto(

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "cache/set_assoc_cache.hh"
@@ -125,9 +126,9 @@ class DisplayController : public SimObject
                     ScanStats &stats);
 
     /** Resolve a digest record on a MACH-buffer miss. */
-    StoredBlock resolveDigestMiss(const FrameLayout &layout,
-                                  std::uint32_t digest, Tick &now,
-                                  ScanStats &stats);
+    std::span<const std::uint8_t>
+    resolveDigestMiss(const FrameLayout &layout, std::uint32_t digest,
+                      Tick &now, ScanStats &stats);
 
     using MachDumpVec = std::vector<std::pair<std::uint32_t, Addr>>;
 

@@ -7,17 +7,7 @@ namespace vstream
 {
 
 Macroblock
-FrameReconstructor::rebuildMab(const std::vector<std::uint8_t> &stored,
-                               const MabRecord &rec, bool gradient_mode)
-{
-    return rebuildMab(
-        StoredBlock{stored.data(),
-                    static_cast<std::uint32_t>(stored.size())},
-        rec, gradient_mode);
-}
-
-Macroblock
-FrameReconstructor::rebuildMab(const StoredBlock &stored,
+FrameReconstructor::rebuildMab(std::span<const std::uint8_t> stored,
                                const MabRecord &rec, bool gradient_mode)
 {
     Macroblock out(1);
@@ -27,21 +17,21 @@ FrameReconstructor::rebuildMab(const StoredBlock &stored,
 
 // vstream:hot
 void
-FrameReconstructor::rebuildMabInto(const StoredBlock &stored,
+FrameReconstructor::rebuildMabInto(std::span<const std::uint8_t> stored,
                                    const MabRecord &rec,
                                    bool gradient_mode, Macroblock &out)
 {
     // Infer the block dimension from the stored byte count.
     std::uint32_t dim = 1;
     while (static_cast<std::size_t>(dim) * dim * kBytesPerPixel <
-           stored.size) {
+           stored.size()) {
         ++dim;
     }
     vs_assert(static_cast<std::size_t>(dim) * dim * kBytesPerPixel ==
-                  stored.size,
+                  stored.size(),
               "stored block is not a square pixel block");
 
-    out.assignBytes(dim, stored.data, stored.size);
+    out.assignBytes(dim, stored.data(), stored.size());
     if (gradient_mode) {
         out.addBase(rec.base);
     }

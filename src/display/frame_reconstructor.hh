@@ -13,9 +13,9 @@
 #define VSTREAM_DISPLAY_FRAME_RECONSTRUCTOR_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "core/frame_buffer_manager.hh"
 #include "core/framebuffer_layout.hh"
 #include "video/macroblock.hh"
 
@@ -32,12 +32,7 @@ class FrameReconstructor
      * In gradient mode the stored bytes are the gab and the record's
      * base is added back per pixel (the vector-add the DC performs).
      */
-    static Macroblock rebuildMab(const std::vector<std::uint8_t> &stored,
-                                 const MabRecord &rec,
-                                 bool gradient_mode);
-
-    /** Same, from an arena byte view. */
-    static Macroblock rebuildMab(const StoredBlock &stored,
+    static Macroblock rebuildMab(std::span<const std::uint8_t> stored,
                                  const MabRecord &rec,
                                  bool gradient_mode);
 
@@ -45,7 +40,7 @@ class FrameReconstructor
      * Zero-alloc variant: rebuild into @p out, reusing its storage —
      * the per-mab workhorse of DisplayController::scanOut.
      */
-    static void rebuildMabInto(const StoredBlock &stored,
+    static void rebuildMabInto(std::span<const std::uint8_t> stored,
                                const MabRecord &rec, bool gradient_mode,
                                Macroblock &out);
 

@@ -45,15 +45,7 @@ MachBuffer::lookup(std::uint32_t digest)
 
 void
 MachBuffer::insert(std::uint32_t digest,
-                   const std::vector<std::uint8_t> &block)
-{
-    insert(digest, block.data(),
-           static_cast<std::uint32_t>(block.size()));
-}
-
-void
-MachBuffer::insert(std::uint32_t digest, const std::uint8_t *data,
-                   std::uint32_t size)
+                   std::span<const std::uint8_t> block)
 {
     const std::uint32_t set = setOf(digest);
 
@@ -61,7 +53,7 @@ MachBuffer::insert(std::uint32_t digest, const std::uint8_t *data,
     for (std::uint32_t w = 0; w < ways_; ++w) {
         Entry &e = entry(set, w);
         if (e.valid && e.digest == digest) {
-            e.block.assign(data, data + size);
+            e.block.assign(block.begin(), block.end());
             repl_.touch(set, w);
             return;
         }
@@ -81,7 +73,7 @@ MachBuffer::insert(std::uint32_t digest, const std::uint8_t *data,
     Entry &e = entry(set, way);
     e.valid = true;
     e.digest = digest;
-    e.block.assign(data, data + size);
+    e.block.assign(block.begin(), block.end());
     repl_.fill(set, way);
     ++inserts_;
 }

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "cache/replacement.hh"
@@ -33,12 +34,7 @@ class MachBuffer
     const std::vector<std::uint8_t> *lookup(std::uint32_t digest);
 
     /** Insert (or refresh) a block under @p digest. */
-    void insert(std::uint32_t digest,
-                const std::vector<std::uint8_t> &block);
-
-    /** Same, from a raw byte view (the frame-buffer arena path). */
-    void insert(std::uint32_t digest, const std::uint8_t *data,
-                std::uint32_t size);
+    void insert(std::uint32_t digest, std::span<const std::uint8_t> block);
 
     std::uint64_t hitCount() const { return hits_; }
     std::uint64_t missCount() const { return misses_; }

@@ -99,11 +99,17 @@ Random::uniformInt(std::uint64_t lo, std::uint64_t hi)
     if (span == 0) { // [0, 2^64-1]: full range
         return next();
     }
-    const std::uint64_t limit = ~std::uint64_t(0) - (~std::uint64_t(0) % span);
-    std::uint64_t v;
-    do {
-        v = next();
-    } while (v >= limit);
+    // Draws at or above limit = max - max % span are rejected.  limit
+    // is at least 2^64 - span, so a draw below that is accepted
+    // without paying for the division.
+    std::uint64_t v = next();
+    if (v >= std::uint64_t(0) - span) {
+        const std::uint64_t max = ~std::uint64_t(0);
+        const std::uint64_t limit = max - max % span;
+        while (v >= limit) {
+            v = next();
+        }
+    }
     return lo + v % span;
 }
 

@@ -177,7 +177,11 @@ void
 ZipfLibrary::applyTo(VideoProfile &profile, std::uint32_t title) const
 {
     vs_assert(title < spec_.titles, "library title out of range");
-    profile.key = "T" + std::to_string(title);
+    // Built in two steps: GCC 12 -O3 reports a false-positive
+    // -Wrestrict for both `"T" + std::to_string(title)` and
+    // `key = "T"`.
+    profile.key.assign(1, 'T');
+    profile.key += std::to_string(title);
     profile.library_title = title;
     // Content identity: same title => same generator seed => byte-
     // identical macroblocks, independent of which session plays it.

@@ -89,6 +89,28 @@ TEST(Random, UniformIntCoversRangeExactly)
     }
 }
 
+/** Same draws as the plain rejection loop, including spans large
+ * enough that draws are rejected often. */
+TEST(Random, UniformIntMatchesRejectionLoop)
+{
+    const std::uint64_t max = ~std::uint64_t(0);
+    for (const std::uint64_t span :
+         {std::uint64_t(3), std::uint64_t(1000), (max / 3) * 2,
+          max / 2 + 2, max - 5}) {
+        Random fast(21);
+        Random ref(21);
+        const std::uint64_t limit = max - max % span;
+        for (int i = 0; i < 2000; ++i) {
+            std::uint64_t v;
+            do {
+                v = ref.next();
+            } while (v >= limit);
+            ASSERT_EQ(fast.uniformInt(2, span + 1), 2 + v % span)
+                << "span " << span << " draw " << i;
+        }
+    }
+}
+
 TEST(Random, UniformIntSingleton)
 {
     Random r(9);
