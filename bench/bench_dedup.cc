@@ -46,7 +46,10 @@ makeDedupSession(const ArrivalEvent &a, const ZipfLibrary &library)
     s.id = id;
     s.stats_group = "dedup";
     PipelineConfig &cfg = s.pipeline;
-    cfg.profile.key = "D" + std::to_string(id);
+    // Two steps: GCC 12 -O3 reports a false-positive -Wrestrict for
+    // `"D" + std::to_string(id)` (see ZipfLibrary::applyTo).
+    cfg.profile.key.assign(1, 'D');
+    cfg.profile.key += std::to_string(id);
     cfg.profile.width = 48;
     cfg.profile.height = 24;
     cfg.profile.frame_count =
